@@ -88,7 +88,7 @@ def cmd_tts(args):
     if key not in graph.marking:
         print("marking %s is not reachable" % key_label(key), file=sys.stderr)
         return DOMAIN_ERROR
-    family = tts.tts_for_node(graph, key)
+    family = tts.tts_all(graph)[key]
     if not args.keep_empty:
         family = equivalence.purge(family, net.empty_labels)
     for member in sorted(family, key=sorted):

@@ -61,6 +61,10 @@ class WFNet:
         for p in places:
             if not p:
                 raise NetFormatError("empty place name", code="PARSE_ERROR")
+            if "," in p:
+                # marking keys and --marking arguments are comma-joined
+                raise NetFormatError("place name contains ',': %r" % p,
+                                     code="PARSE_ERROR")
             if p in seen:
                 raise NetFormatError("duplicate place name: %r" % p,
                                      code="DUPLICATE_NAME")
@@ -116,9 +120,6 @@ class WFNet:
     def outputs(self, label):
         """Output places of a transition."""
         return self._outputs[label]
-
-    def is_empty(self, label):
-        return label in self.empty_labels
 
     def source_places(self):
         return {p for p in self.places if not self._place_in[p]}

@@ -34,19 +34,18 @@ def _cycle_length_total(graph):
 def _longest_simple_path(graph, target):
     """Length of the longest elementary path from the initial node to
     ``target`` (0 when target is the initial node); -1 if unreachable."""
-    best = [-1]
-
-    def walk(node, on_path, length):
+    best = -1
+    stack = [(graph.initial, frozenset({graph.initial}))]
+    while stack:
+        node, on_path = stack.pop()
         if node == target:
             # elementary paths end at their first arrival
-            best[0] = max(best[0], length)
-            return
+            best = max(best, len(on_path) - 1)
+            continue
         for edge in graph.succ[node]:
             if edge.dst not in on_path:
-                walk(edge.dst, on_path | {edge.dst}, length + 1)
-
-    walk(graph.initial, frozenset({graph.initial}), 0)
-    return best[0]
+                stack.append((edge.dst, on_path | {edge.dst}))
+    return best
 
 
 def sufficiency_bound(graph, node):

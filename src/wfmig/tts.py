@@ -2,9 +2,11 @@
 
 For a reachability-graph node, the family of TTSs is the set of distinct
 transition-label sets over all firing traces from the initial node to it.
-Traces may be infinite in number (loops), but the family is finite: it is
-generated from the elementary seed paths by repeatedly absorbing any
-elementary cycle that touches a node already covered, until a fixpoint.
+Traces may be infinite in number (loops), but the family is finite.
+``tts_all``, the engine ``map`` and ``tts`` run, computes it by a forward
+closure.  The paper's construction stays as the reference the tests check:
+elementary seed paths absorb every elementary cycle touching a node
+already covered, until a fixpoint (``tts_for_node``).
 """
 
 from dataclasses import dataclass
@@ -25,9 +27,6 @@ class Cycle:
 
     def label_set(self):
         return frozenset(e.label for e in self.edges)
-
-    def __len__(self):
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -155,6 +154,17 @@ def tts_for_node(graph, node, cycles=None):
 
 
 def tts_all(graph):
-    """TTS families for every node; cycles are enumerated once and shared."""
-    cycles = find_cycles(graph)
-    return {node: tts_for_node(graph, node, cycles) for node in graph.nodes}
+    """TTS families for every node: a worklist closure over (node, label
+    set) states from (initial, {}), where an edge leads to (dst, labels |
+    {label}).  Each state reached at a node is one of its TTSs."""
+    families = {node: set() for node in graph.nodes}
+    families[graph.initial].add(frozenset())
+    worklist = [(graph.initial, frozenset())]
+    while worklist:
+        node, labels = worklist.pop()
+        for edge in graph.succ[node]:
+            reached = labels | {edge.label}
+            if reached not in families[edge.dst]:
+                families[edge.dst].add(reached)
+                worklist.append((edge.dst, reached))
+    return {node: frozenset(family) for node, family in families.items()}

@@ -5,6 +5,8 @@ from wfmig import (WFNet, build_reachability, change_region,
 from wfmig.fixtures import fig8_new_net, fig8_old_net
 from wfmig.oracle import GenParams, oracle_tts, random_wfnet
 
+from conftest import par_redo_net
+
 TABLE_1 = {
     "p1": {"p1", "p12,p2"},
     "p2,p6": {"p13,p2"},
@@ -59,7 +61,7 @@ def test_old_net_marking_count():
 
 
 def test_identity_migration(fig4_net, sequence_net):
-    for net in (sequence_net, fig4_net, fig8_old_net()):
+    for net in (sequence_net, fig4_net, fig8_old_net(), par_redo_net(2, 2)):
         table = find_equivalence_mapping(net, net)
         assert change_region(table) == set()
         for key, eq in table.rows:

@@ -10,7 +10,7 @@ from wfmig.fixtures import ALL
 from wfmig.netformat import (document_for_net, serialize_document,
                              serialize_net)
 
-from conftest import FIXTURES
+from conftest import FIXTURES, long_sequence_net
 
 MINIMAL = """
 {
@@ -60,6 +60,11 @@ def test_fixture_files_match_fixture_builders():
      ' "arcs": [["a", "t", 2]]}', "PARSE_ERROR"),  # weighted arc
     ('{"places": ["a"], "transitions": ["t"], "arcs": [],'
      ' "initial_marking": ["zzz"]}', "UNKNOWN_ENDPOINT"),
+    # a comma in a place name would collide with the marking key {a,b}
+    ('{"places": ["s", "a,b", "a", "b", "e"],'
+     ' "transitions": ["T0", "T1", "T2"],'
+     ' "arcs": [["s", "T0"], ["T0", "a,b"], ["a,b", "T1"], ["T1", "a"],'
+     ' ["T1", "b"], ["a", "T2"], ["b", "T2"], ["T2", "e"]]}', "PARSE_ERROR"),
 ])
 def test_parse_errors(text, code):
     with pytest.raises(NetFormatError) as err:
@@ -238,6 +243,19 @@ def test_cli_hidden_oracle_tts_agrees_with_tts(capsys):
     _, brute, _ = run_cli(capsys, "oracle-tts", fx("fig4"),
                           "--marking", "P2")
     assert fast == brute
+
+
+def test_cli_map_and_tts_on_a_deep_sequence(capsys, tmp_path):
+    path = tmp_path / "sequence-1200.json"
+    path.write_text(serialize_net(long_sequence_net(1200)))
+    code, out, _ = run_cli(capsys, "map", "--old", str(path),
+                           "--new", str(path), "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + 1201
+    code, out, _ = run_cli(capsys, "tts", str(path), "--marking", "p1200")
+    assert code == 0
+    assert out == "{%s}\n" % ",".join(sorted("T%d" % i
+                                               for i in range(1, 1201)))
 
 
 def test_cli_output_is_deterministic(capsys):

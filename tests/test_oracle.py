@@ -7,6 +7,8 @@ from wfmig.netformat import serialize_net
 from wfmig.oracle import (GenParams, oracle_tts, random_wfnet,
                           sufficiency_bound)
 
+from conftest import long_sequence_net
+
 
 def test_fig4_p2_with_explicit_bound(fig4_net):
     g = build_reachability(fig4_net)
@@ -29,6 +31,11 @@ def test_bound_below_sufficiency_rejected(fig4_net):
     g = build_reachability(fig4_net)
     with pytest.raises(BoundTooSmallError):
         oracle_tts(g, "P2", bound=8)
+
+
+def test_sufficiency_bound_on_a_deep_sequence():
+    g = build_reachability(long_sequence_net(1200))
+    assert sufficiency_bound(g, "p1200") == 1200
 
 
 def test_sequence_terminal(sequence_net):

@@ -7,6 +7,8 @@ from wfmig import (build_reachability, expand_with_cycles, find_cycles,
 from wfmig.oracle import GenParams, oracle_tts, random_wfnet
 from wfmig.tts import EdgeSet, attachable_cycles
 
+from conftest import par_redo_net
+
 FIG4_P2_FAMILY = {
     frozenset({"T0"}),
     frozenset({"T0", "T1", "T2", "T3", "T4"}),
@@ -194,3 +196,47 @@ def test_matches_oracle_on_random_nets(seed):
     families = tts_all(g)
     for node in g.nodes:
         assert families[node] == oracle_tts(g, node)
+
+
+# ---------------------------------------------------------------------------
+# tts_all (the closure) against the paper's fixpoint, and, where the
+# fixpoint cannot finish, against the oracle.
+
+def assert_closure_equals_fixpoint(net):
+    g = build_reachability(net)
+    cycles = find_cycles(g)
+    assert tts_all(g) == {n: tts_for_node(g, n, cycles) for n in g.nodes}
+
+
+def test_closure_equals_fixpoint_on_criterion_4_nets():
+    checked = 0
+    seed = 0
+    while checked < 100:
+        seed += 1
+        net = random_wfnet(GenParams(seed=seed, max_places=8,
+                                     max_transitions=10))
+        if len(build_reachability(net).nodes) > 12:
+            continue
+        assert_closure_equals_fixpoint(net)
+        checked += 1
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_closure_equals_fixpoint_on_state_machine_loop_nets(seed):
+    assert_closure_equals_fixpoint(random_wfnet(GenParams(
+        seed=seed, max_places=10, max_transitions=12, loop_probability=0.5,
+        parallel_probability=0)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_closure_equals_fixpoint_on_acyclic_nets(seed):
+    assert_closure_equals_fixpoint(random_wfnet(GenParams(
+        seed=seed, max_places=12, max_transitions=16, loop_probability=0)))
+
+
+def test_closure_matches_oracle_on_parallel_redo_net():
+    g = build_reachability(par_redo_net(2, 2))
+    assert len(g.nodes) == 11
+    families = tts_all(g)
+    for node in g.nodes:
+        assert families[node] == oracle_tts(g, node), node
