@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (validation failure, state limit,
-unsafe net), 2 usage or parse error.  Diagnostics go to stderr, data to
-stdout, and all output is byte-deterministic for equal inputs and flags.
+unsafe net, unreachable marking), 2 usage or parse error.  Diagnostics go
+to stderr, data to stdout, and all output is byte-deterministic for equal
+inputs and flags.
 """
 
 import argparse
@@ -42,10 +43,6 @@ def _parse_marking(text):
     return frozenset(p.strip() for p in text.split(",") if p.strip())
 
 
-def _tts_line(label_set):
-    return key_label(",".join(sorted(label_set)))
-
-
 def cmd_validate(args):
     net = _load_net(args.net)
     structural = validate_structural(net)
@@ -80,19 +77,28 @@ def cmd_reach(args):
     return 0
 
 
-def cmd_tts(args):
+def _reachable_marking(args):
+    """The net, its reachability graph and the key of ``--marking``, which
+    must be reachable."""
     net = _load_net(args.net)
     _require_structural(net)
     graph = reachability.build_reachability(net, args.max_states)
     key = marking_key(_parse_marking(args.marking))
     if key not in graph.marking:
-        print("marking %s is not reachable" % key_label(key), file=sys.stderr)
-        return DOMAIN_ERROR
-    family = tts.tts_all(graph)[key]
-    if not args.keep_empty:
-        family = equivalence.purge(family, net.empty_labels)
+        raise WfmigError("marking %s is not reachable" % key_label(key),
+                         code="UNREACHABLE_MARKING")
+    return net, graph, key
+
+
+def _print_family(family):
     for member in sorted(family, key=sorted):
-        print(_tts_line(member))
+        print(key_label(",".join(sorted(member))))
+
+
+def cmd_tts(args):
+    net, graph, key = _reachable_marking(args)
+    ignore = frozenset() if args.keep_empty else net.empty_labels
+    _print_family(tts.tts_all(graph, ignore)[key])
     return 0
 
 
@@ -123,16 +129,8 @@ def cmd_gen_net(args):
 
 
 def cmd_oracle_tts(args):
-    net = _load_net(args.net)
-    _require_structural(net)
-    graph = reachability.build_reachability(net, args.max_states)
-    key = marking_key(_parse_marking(args.marking))
-    if key not in graph.marking:
-        print("marking %s is not reachable" % key_label(key), file=sys.stderr)
-        return DOMAIN_ERROR
-    family = oracle.oracle_tts(graph, key, args.bound)
-    for member in sorted(family, key=sorted):
-        print(_tts_line(member))
+    _, graph, key = _reachable_marking(args)
+    _print_family(oracle.oracle_tts(graph, key, args.bound))
     return 0
 
 

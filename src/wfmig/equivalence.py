@@ -9,6 +9,7 @@ initial marking).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .reachability import DEFAULT_MAX_STATES, build_reachability
 from .tts import tts_all
@@ -22,37 +23,38 @@ class MappingTable:
 
     rows: tuple
 
+    @cached_property
+    def _by_key(self):
+        return dict(self.rows)
+
     def equivalents(self, old_key):
-        for key, eq in self.rows:
-            if key == old_key:
-                return eq
-        raise KeyError(old_key)
+        return self._by_key[old_key]
 
 
 def purge(family, empty_labels):
-    """Remove empty-transition labels from every member set; deduplicate."""
+    """Remove empty-transition labels from every member set; deduplicate.
+    The production path never calls it: ``tts_all`` drops the labels as it
+    walks.  It stays as the reference the tests check that against."""
     empty = frozenset(empty_labels)
     return frozenset(tts - empty for tts in family)
 
 
 def find_equivalence_mapping(old_net, new_net, max_states=DEFAULT_MAX_STATES):
-    """Build both reachability graphs, compare purged TTS families, and list
-    for every old marking all new markings sharing at least one purged TTS."""
+    """Build both reachability graphs and their purged TTS families, index
+    the new markings by the purged TTSs they hold, and list for every old
+    marking all new markings sharing at least one purged TTS."""
     old_graph = build_reachability(old_net, max_states)
     new_graph = build_reachability(new_net, max_states)
 
-    old_fams = {n: purge(f, old_net.empty_labels)
-                for n, f in tts_all(old_graph).items()}
-    new_fams = {n: purge(f, new_net.empty_labels)
-                for n, f in tts_all(new_graph).items()}
+    holders = {}
+    for new_key, family in tts_all(new_graph, new_net.empty_labels).items():
+        for member in family:
+            holders.setdefault(member, set()).add(new_key)
 
-    rows = []
-    for old_key in sorted(old_graph.nodes):
-        matches = tuple(sorted(
-            new_key for new_key in new_graph.nodes
-            if new_fams[new_key] & old_fams[old_key]))
-        rows.append((old_key, matches))
-    return MappingTable(tuple(rows))
+    old_fams = tts_all(old_graph, old_net.empty_labels)
+    return MappingTable(tuple(
+        (key, tuple(sorted(set().union(*(holders.get(m, ()) for m in fam)))))
+        for key, fam in sorted(old_fams.items())))
 
 
 def change_region(table):

@@ -72,6 +72,10 @@ class WFNet:
         for t in self.transitions:
             if not t.label:
                 raise NetFormatError("empty transition label", code="PARSE_ERROR")
+            if "," in t.label:
+                # tts lines comma-join labels
+                raise NetFormatError("transition label contains ',': %r"
+                                     % t.label, code="PARSE_ERROR")
             if t.label in seen:
                 raise NetFormatError("duplicate name: %r" % t.label,
                                      code="DUPLICATE_NAME")
@@ -169,27 +173,13 @@ def fire(net, marking, label):
     return (marking - ins) | outs
 
 
-def _forward_reach(net, start_places):
-    """Places/transitions reachable from the given places in the arc digraph."""
-    seen = set(start_places)
-    queue = deque(start_places)
+def _reach(start, step):
+    """Nodes reachable from ``start`` in the arc digraph, where ``step``
+    maps each place or transition to the nodes one arc away."""
+    seen = set(start)
+    queue = deque(start)
     while queue:
-        node = queue.popleft()
-        succ = net._place_out[node] if node in net.places else net.outputs(node)
-        for nxt in succ:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
-def _backward_reach(net, start_places):
-    seen = set(start_places)
-    queue = deque(start_places)
-    while queue:
-        node = queue.popleft()
-        pred = net._place_in[node] if node in net.places else net.inputs(node)
-        for nxt in pred:
+        for nxt in step[queue.popleft()]:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -220,7 +210,8 @@ def validate_structural(net):
 
     if len(sources) == 1 and len(sinks) == 1:
         source, sink = sources[0], sinks[0]
-        on_path = _forward_reach(net, {source}) & _backward_reach(net, {sink})
+        on_path = (_reach({source}, {**net._place_out, **net._outputs})
+                   & _reach({sink}, {**net._place_in, **net._inputs}))
         for elem in sorted(net.places | net.labels):
             if elem in (source, sink):
                 continue

@@ -4,9 +4,10 @@ For a reachability-graph node, the family of TTSs is the set of distinct
 transition-label sets over all firing traces from the initial node to it.
 Traces may be infinite in number (loops), but the family is finite.
 ``tts_all``, the engine ``map`` and ``tts`` run, computes it by a forward
-closure.  The paper's construction stays as the reference the tests check:
-elementary seed paths absorb every elementary cycle touching a node
-already covered, until a fixpoint (``tts_for_node``).
+closure that can leave a net's empty labels out as it walks.  The paper's
+construction stays as the reference the tests check: elementary seed paths
+absorb every elementary cycle touching a node already covered, until a
+fixpoint (``tts_for_node``).
 """
 
 from dataclasses import dataclass
@@ -153,17 +154,18 @@ def tts_for_node(graph, node, cycles=None):
     return frozenset(es.label_set() for es in expanded)
 
 
-def tts_all(graph):
+def tts_all(graph, ignore=frozenset()):
     """TTS families for every node: a worklist closure over (node, label
     set) states from (initial, {}), where an edge leads to (dst, labels |
-    {label}).  Each state reached at a node is one of its TTSs."""
+    {label}) and a label in ``ignore`` adds nothing.  Each state reached at
+    a node is one of its TTSs, with the ``ignore`` labels left out."""
     families = {node: set() for node in graph.nodes}
     families[graph.initial].add(frozenset())
     worklist = [(graph.initial, frozenset())]
     while worklist:
         node, labels = worklist.pop()
         for edge in graph.succ[node]:
-            reached = labels | {edge.label}
+            reached = labels if edge.label in ignore else labels | {edge.label}
             if reached not in families[edge.dst]:
                 families[edge.dst].add(reached)
                 worklist.append((edge.dst, reached))

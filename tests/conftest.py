@@ -1,8 +1,9 @@
 import pathlib
+import random
 
 import pytest
 
-from wfmig import WFNet, fixtures
+from wfmig import Transition, WFNet, fixtures
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -34,6 +35,16 @@ def par_redo_net(k, n):
         labels.append("R%d" % b)
         arcs += [(branch[-1], labels[-1]), (labels[-1], branch[0])]
     return WFNet(places, labels, arcs, name="par-redo-%d-%d" % (k, n))
+
+
+def with_empty_transitions(net, seed, share=0.3):
+    """The same net with about ``share`` of its transitions re-declared
+    empty, chosen by a seeded RNG; it fires exactly like ``net``."""
+    rng = random.Random(seed)
+    return WFNet(net.places,
+                 [Transition(t.label, rng.random() < share)
+                  for t in net.transitions],
+                 net.arcs, net.initial_marking, name=net.name)
 
 
 @pytest.fixture

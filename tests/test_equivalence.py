@@ -5,7 +5,7 @@ from wfmig import (WFNet, build_reachability, change_region,
 from wfmig.fixtures import fig8_new_net, fig8_old_net
 from wfmig.oracle import GenParams, oracle_tts, random_wfnet
 
-from conftest import par_redo_net
+from conftest import par_redo_net, with_empty_transitions
 
 TABLE_1 = {
     "p1": {"p1", "p12,p2"},
@@ -108,9 +108,11 @@ def test_mapping_matches_oracle(seed):
     old = random_wfnet(GenParams(seed=seed, max_places=6, max_transitions=7))
     new = random_wfnet(GenParams(seed=seed + 1000, max_places=6,
                                  max_transitions=7))
-    table = find_equivalence_mapping(old, new)
-    expected = _oracle_mapping(old, new)
-    assert {key: set(eq) for key, eq in table.rows} == expected
+    for pair in ((old, new), (with_empty_transitions(old, seed),
+                              with_empty_transitions(new, seed + 1000))):
+        table = find_equivalence_mapping(*pair)
+        expected = _oracle_mapping(*pair)
+        assert {key: set(eq) for key, eq in table.rows} == expected
 
 
 @pytest.mark.parametrize("seed", range(8))

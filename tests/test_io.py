@@ -65,6 +65,10 @@ def test_fixture_files_match_fixture_builders():
      ' "transitions": ["T0", "T1", "T2"],'
      ' "arcs": [["s", "T0"], ["T0", "a,b"], ["a,b", "T1"], ["T1", "a"],'
      ' ["T1", "b"], ["a", "T2"], ["b", "T2"], ["T2", "e"]]}', "PARSE_ERROR"),
+    # a comma in a label would print the TTS {"x,y"} the same as {x, y}
+    ('{"places": ["s", "m", "e"], "transitions": ["x,y", "x", "y"],'
+     ' "arcs": [["s", "x,y"], ["x,y", "e"], ["s", "x"], ["x", "m"],'
+     ' ["m", "y"], ["y", "e"]]}', "PARSE_ERROR"),
 ])
 def test_parse_errors(text, code):
     with pytest.raises(NetFormatError) as err:
@@ -165,10 +169,13 @@ def test_cli_tts_purges_by_default(capsys):
 
 
 def test_cli_tts_unreachable_marking(capsys):
-    code, out, err = run_cli(capsys, "tts", fx("sequence"),
-                             "--marking", "p1,p3")
-    assert code == 1
-    assert out == ""
+    for command in ("tts", "oracle-tts"):
+        code, out, err = run_cli(capsys, command, fx("sequence"),
+                                 "--marking", "p1,p3")
+        assert code == 1
+        assert out == ""
+        assert err == ("UNREACHABLE_MARKING: marking {p1,p3} is not "
+                       "reachable\n")
 
 
 def test_cli_map_csv(capsys):

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from wfmig import (build_reachability, expand_with_cycles, find_cycles,
-                   find_simple_paths, tts_all, tts_for_node)
+                   find_simple_paths, purge, tts_all, tts_for_node)
 from wfmig.oracle import GenParams, oracle_tts, random_wfnet
 from wfmig.tts import EdgeSet, attachable_cycles
 
-from conftest import par_redo_net
+from conftest import par_redo_net, with_empty_transitions
 
 FIG4_P2_FAMILY = {
     frozenset({"T0"}),
@@ -194,8 +194,14 @@ def test_matches_oracle_on_random_nets(seed):
     if len(g.nodes) > 12:
         pytest.skip("graph larger than the desk-scale oracle limit")
     families = tts_all(g)
+    # the same graph with some labels empty: the closure drops them as it
+    # walks, and must give the oracle's families purged afterwards
+    empty = with_empty_transitions(net, seed).empty_labels
+    purged = tts_all(g, empty)
     for node in g.nodes:
-        assert families[node] == oracle_tts(g, node)
+        family = oracle_tts(g, node)
+        assert families[node] == family
+        assert purged[node] == purge(family, empty)
 
 
 # ---------------------------------------------------------------------------
