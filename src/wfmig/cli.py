@@ -7,6 +7,7 @@ inputs and flags.
 """
 
 import argparse
+import functools
 import sys
 
 from . import equivalence, netformat, oracle, reachability, tts
@@ -200,10 +201,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    """The parser ``main`` reuses: building it costs more than parsing with
+    it, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

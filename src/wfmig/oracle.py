@@ -13,20 +13,59 @@ from .errors import BoundTooSmallError
 from .net import Transition, WFNet
 
 
+def _components(graph):
+    """Strongly connected component of each node, named by one of its
+    members (Kosaraju's two passes, with explicit stacks)."""
+    finished = []
+    seen = set()
+    for root in graph.nodes:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(graph.succ[root]))]
+        while stack:
+            node, rest = stack[-1]
+            for edge in rest:
+                if edge.dst not in seen:
+                    seen.add(edge.dst)
+                    stack.append((edge.dst, iter(graph.succ[edge.dst])))
+                    break
+            else:
+                stack.pop()
+                finished.append(node)
+    back = graph.pred()
+    component = {}
+    for root in reversed(finished):
+        if root in component:
+            continue
+        component[root] = root
+        stack = [root]
+        while stack:
+            for edge in back[stack.pop()]:
+                if edge.src not in component:
+                    component[edge.src] = root
+                    stack.append(edge.src)
+    return component
+
+
 def _cycle_length_total(graph):
     """Sum of lengths of all elementary circuits, by plain path extension.
 
     Each circuit is counted once, rooted at its smallest node (only larger
-    nodes are entered while extending)."""
+    nodes are entered while extending), and lies inside one strongly
+    connected component, so no other component is entered."""
+    component = _components(graph)
     total = 0
     for start in sorted(graph.nodes):
+        own = component[start]
         stack = [(start, frozenset())]
         while stack:
             node, on_path = stack.pop()
             for edge in graph.succ[node]:
                 if edge.dst == start:
                     total += len(on_path) + 1
-                elif edge.dst > start and edge.dst not in on_path:
+                elif (edge.dst > start and edge.dst not in on_path
+                      and component[edge.dst] == own):
                     stack.append((edge.dst, on_path | {edge.dst}))
     return total
 

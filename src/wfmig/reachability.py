@@ -4,10 +4,21 @@ Node identity is the canonical marking key: the comma-joined sorted list of
 marked place names.  Construction is breadth-first with successors expanded
 in sorted transition-label order, so equal nets always produce identical
 graphs.
+
+The breadth-first search plays the token game on ints: each place is one
+bit, in sorted place order, and each transition has a ``pre`` and a
+``post`` mask.  A transition is enabled at marking ``m`` when
+``m & pre == pre`` and leads to ``(m & ~pre) | post``.  Only the consumers
+of the marked places, and the transitions with an empty preset, are tried
+at a marking.  The key string and the frozenset of places are built once
+per marking, when it is first found.  ``net.enabled`` and ``net.fire`` are
+the frozenset form of the same game; a firing that would break
+1-boundedness is handed to ``fire``, which reports it.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import net as wfnet
 from .errors import StateLimitError, UnsafeFiringError, UnsafeNetError
@@ -61,32 +72,72 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
     init = net.initial_marking
-    init_key = marking_key(init)
+    # WFNet does not check that an explicit initial marking names declared
+    # places, so those get bits too
+    bit, place_of, consumers = {}, {}, {}
+    for i, p in enumerate(sorted(net.places | init)):
+        bit[p] = 1 << i
+        place_of[1 << i] = p
+        consumers[1 << i] = []
+    free = []       # empty preset: enabled at every marking
+    trans = []      # (label, pre, post) in sorted label order
+    for i, t in enumerate(net.transitions):
+        pre = post = 0
+        for p in net.inputs(t.label):
+            pre |= bit[p]
+            consumers[bit[p]].append(i)
+        for p in net.outputs(t.label):
+            post |= bit[p]
+        trans.append((t.label, pre, post))
+        if not pre:
+            free.append(i)
+
+    def discover(m):
+        """Key and places of a new marking, and its candidate transitions
+        in sorted label order.  Bits are in place order, so the places come
+        out sorted and their join is ``marking_key``."""
+        places, cands = [], set(free)
+        while m:
+            low = m & -m
+            places.append(place_of[low])
+            cands.update(consumers[low])
+            m ^= low
+        return ",".join(places), places, [trans[i] for i in sorted(cands)]
+
+    m0 = sum(bit[p] for p in init)
+    init_key, _, cands = discover(m0)
+    key_of = {m0: init_key}
     marking = {init_key: init}
     order = [init_key]
     edges = []
     succ = {}
-    queue = deque([init_key])
+    queue = deque([(m0, init_key, cands)])
     while queue:
-        key = queue.popleft()
-        m = marking[key]
+        m, key, cands = queue.popleft()
         out = []
-        for label in sorted(wfnet.enabled(net, m)):
-            try:
-                nxt = wfnet.fire(net, m, label)
-            except UnsafeFiringError as exc:
-                raise UnsafeNetError("net is not 1-bounded: %s" % exc) from exc
-            nxt_key = marking_key(nxt)
-            if nxt_key not in marking:
+        for label, pre, post in cands:
+            if m & pre != pre:
+                continue
+            rest = m ^ pre
+            if post & rest:
+                try:
+                    wfnet.fire(net, marking[key], label)  # raises for a clash
+                except UnsafeFiringError as exc:
+                    raise UnsafeNetError(
+                        "net is not 1-bounded: %s" % exc) from exc
+            nxt = rest | post
+            nxt_key = key_of.get(nxt)
+            if nxt_key is None:
                 if len(order) + 1 > max_states:
                     raise StateLimitError(
                         "reachability exceeds %d states" % max_states)
-                marking[nxt_key] = nxt
+                nxt_key, places, nxt_cands = discover(nxt)
+                key_of[nxt] = nxt_key
+                marking[nxt_key] = frozenset(places)
                 order.append(nxt_key)
-                queue.append(nxt_key)
-            edge = RGEdge(key, label, nxt_key)
-            edges.append(edge)
-            out.append(edge)
+                queue.append((nxt, nxt_key, nxt_cands))
+            out.append(RGEdge(key, label, nxt_key))
+        edges.extend(out)
         succ[key] = tuple(out)
 
     sinks = net.sink_places()
@@ -136,12 +187,12 @@ def validate_behavioral(net, graph):
 
 
 def to_dot(graph):
-    """Render the graph as DOT text, byte-deterministic (canonical order)."""
+    """Render the graph as DOT text, byte-deterministic (canonical order).
+    Node names are ``key_label`` forms, written inline."""
     lines = ["digraph reachability {"]
-    for key in sorted(graph.nodes):
-        lines.append('  "%s";' % key_label(key))
-    for e in sorted(graph.edges, key=lambda e: (e.src, e.label, e.dst)):
-        lines.append('  "%s" -> "%s" [label="%s"];'
-                     % (key_label(e.src), key_label(e.dst), e.label))
+    lines.extend(['  "{%s}";' % key for key in sorted(graph.nodes)])
+    lines.extend(['  "{%s}" -> "{%s}" [label="%s"];' % (e.src, e.dst, e.label)
+                  for e in sorted(graph.edges,
+                                  key=attrgetter("src", "label", "dst"))])
     lines.append("}")
     return "\n".join(lines) + "\n"

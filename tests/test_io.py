@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wfmig import NetFormatError, build_reachability, parse_document, parse_net
+from wfmig import cli
 from wfmig.cli import main
 from wfmig.fixtures import ALL
 from wfmig.netformat import (document_for_net, serialize_document,
@@ -228,6 +229,28 @@ def test_cli_usage_errors(capsys):
     code, out, err = run_cli(capsys, "validate", "/does/not/exist.json")
     assert code == 2
     assert "PARSE_ERROR" in err
+
+
+def test_cli_reused_parser_prints_what_a_fresh_one_does(capsys):
+    """main() keeps one parser per process; no call, usage errors included,
+    may leave state that changes a later call."""
+    fig8 = ("--old", fx("fig8_old"), "--new", fx("fig8_new"))
+    runs = [("unknown-command",), ("tts", fx("sequence")),
+            ("map",) + fig8 + ("--format", "csv"), ("map",) + fig8,
+            ("tts", fx("fig8_new"), "--marking", "p15", "--keep-empty"),
+            ("tts", fx("fig8_new"), "--marking", "p15"),
+            ("validate", fx("sequence"), "--max-states", "1"),
+            ("validate", fx("sequence")),
+            ("unknown-command",), ("tts", fx("sequence"))]
+    fresh = []
+    for argv in runs:
+        cli._shared_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    reused = [run_cli(capsys, *argv) for argv in runs]
+    reused += [run_cli(capsys, *argv) for argv in runs]
+    assert reused == fresh + fresh
+    assert [code for code, _, _ in fresh] == [2, 2, 0, 0, 0, 0, 1, 0, 2, 2]
+    assert fresh[4][1] != fresh[5][1]  # --keep-empty did not stick
 
 
 def test_cli_parse_error_is_usage_error(capsys, tmp_path):

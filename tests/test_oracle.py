@@ -4,10 +4,10 @@ from wfmig import (BoundTooSmallError, build_reachability, find_cycles,
                    find_simple_paths, validate_behavioral,
                    validate_structural)
 from wfmig.netformat import serialize_net
-from wfmig.oracle import (GenParams, oracle_tts, random_wfnet,
-                          sufficiency_bound)
+from wfmig.oracle import (GenParams, _cycle_length_total, oracle_tts,
+                          random_wfnet, sufficiency_bound)
 
-from conftest import long_sequence_net
+from conftest import long_sequence_net, par_redo_net
 
 
 def test_fig4_p2_with_explicit_bound(fig4_net):
@@ -36,6 +36,16 @@ def test_bound_below_sufficiency_rejected(fig4_net):
 def test_sufficiency_bound_on_a_deep_sequence():
     g = build_reachability(long_sequence_net(1200))
     assert sufficiency_bound(g, "p1200") == 1200
+
+
+def test_cycle_length_total_equals_enumerated_cycles():
+    nets = [par_redo_net(2, 2)] + [random_wfnet(GenParams(
+        seed=seed, max_places=10, max_transitions=12, loop_probability=0.5,
+        parallel_probability=0)) for seed in range(100)]
+    for net in nets:
+        g = build_reachability(net)
+        assert _cycle_length_total(g) == sum(
+            len(c.edges) for c in find_cycles(g)), net.name
 
 
 def test_sequence_terminal(sequence_net):

@@ -1,12 +1,14 @@
+from collections import deque
+
 import pytest
 
-from wfmig import (StateLimitError, UnsafeNetError, WFNet,
-                   build_reachability, enabled, fire, to_dot,
-                   validate_behavioral)
+from wfmig import (RGEdge, ReachGraph, StateLimitError, UnsafeFiringError,
+                   UnsafeNetError, WFNet, build_reachability, enabled, fire,
+                   fixtures, to_dot, validate_behavioral)
 from wfmig.oracle import GenParams, random_wfnet
-from wfmig.reachability import marking_key
+from wfmig.reachability import DEFAULT_MAX_STATES, marking_key
 
-from conftest import GOLDEN
+from conftest import GOLDEN, long_sequence_net, par_redo_net
 
 
 def test_sequence_graph(sequence_net):
@@ -118,3 +120,140 @@ def test_to_dot_goldens(sequence_net, fig4_net):
     for name, net in (("sequence", sequence_net), ("fig4", fig4_net)):
         golden = (GOLDEN / ("%s.dot" % name)).read_text()
         assert to_dot(build_reachability(net)) == golden
+
+
+# ---------------------------------------------------------------------------
+# build_reachability's bitmask token game against the frozenset token game
+# of ``enabled`` and ``fire``, which it must reproduce exactly.
+
+def reference_reachability(net, max_states=DEFAULT_MAX_STATES):
+    """BFS that checks every transition at every marking with ``enabled``
+    and builds every successor with ``fire``."""
+    if max_states < 1:
+        raise ValueError("max_states must be >= 1")
+    init_key = marking_key(net.initial_marking)
+    marking = {init_key: net.initial_marking}
+    order, edges, succ = [init_key], [], {}
+    queue = deque([init_key])
+    while queue:
+        key = queue.popleft()
+        out = []
+        for label in sorted(enabled(net, marking[key])):
+            try:
+                nxt = fire(net, marking[key], label)
+            except UnsafeFiringError as exc:
+                raise UnsafeNetError(
+                    "net is not 1-bounded: %s" % exc) from exc
+            nxt_key = marking_key(nxt)
+            if nxt_key not in marking:
+                if len(order) + 1 > max_states:
+                    raise StateLimitError(
+                        "reachability exceeds %d states" % max_states)
+                marking[nxt_key] = nxt
+                order.append(nxt_key)
+                queue.append(nxt_key)
+            out.append(RGEdge(key, label, nxt_key))
+        edges += out
+        succ[key] = tuple(out)
+    sink_key = marking_key(net.sink_places())
+    terminal = (sink_key if len(net.sink_places()) == 1
+                and sink_key in marking else None)
+    return ReachGraph(tuple(order), tuple(edges), init_key, terminal,
+                      marking, succ)
+
+
+def assert_same_graph(net, max_states=DEFAULT_MAX_STATES):
+    """Equal graphs, ``marking`` and ``succ`` included, or the same error
+    with the same message."""
+    try:
+        expected = reference_reachability(net, max_states)
+    except (StateLimitError, UnsafeNetError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            build_reachability(net, max_states)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    g = build_reachability(net, max_states)
+    assert g == expected
+    assert g.marking == expected.marking
+    assert g.succ == expected.succ
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.ALL))
+def test_kernel_equals_reference_on_fixtures(name):
+    assert_same_graph(fixtures.ALL[name]())
+
+
+def test_kernel_equals_reference_on_generator_nets():
+    nets = [random_wfnet(GenParams(seed=seed, max_places=8,
+                                   max_transitions=10))
+            for seed in range(1, 101)]  # criterion 4's nets
+    nets += [random_wfnet(GenParams(seed=seed, max_places=10,
+                                    max_transitions=12,
+                                    loop_probability=0.5,
+                                    parallel_probability=0))
+             for seed in range(100)]
+    for net in nets:
+        assert_same_graph(net)
+
+
+@pytest.mark.parametrize("net", [par_redo_net(2, 2), long_sequence_net(1200)],
+                         ids=["par-redo-2-2", "sequence-1200"])
+def test_kernel_equals_reference_on_larger_nets(net):
+    assert_same_graph(net)
+
+
+def _edge_case_nets():
+    """(id, net) pairs the generator never makes."""
+    return [
+        # z has no arcs: enabled everywhere, a self-loop edge at each marking
+        ("empty-preset", WFNet(["p1", "p2"], ["t", "z"],
+                               [("p1", "t"), ("t", "p2")])),
+        # z marks p2 from nothing, so it fires again onto its own token
+        ("empty-preset-unsafe", WFNet(["p1", "p2"], ["t", "z"],
+                                      [("p1", "t"), ("t", "p2"),
+                                       ("z", "p2")])),
+        # b reads and returns the token in r
+        ("self-loop-place", WFNet(
+            ["s", "p", "r", "q", "e"], ["a", "b", "c"],
+            [("s", "a"), ("a", "p"), ("a", "r"), ("p", "b"), ("r", "b"),
+             ("b", "q"), ("b", "r"), ("q", "c"), ("r", "c"), ("c", "e")])),
+        ("unsafe", WFNet(["p1", "p2", "p3", "p4"], ["s", "t", "u"],
+                         [("p1", "s"), ("s", "p2"), ("s", "p3"),
+                          ("p2", "t"), ("t", "p3"),
+                          ("p3", "u"), ("u", "p4")])),
+        # an explicit initial marking may name a place no arc touches
+        ("undeclared-initial-place", WFNet(
+            ["p1", "p2"], ["t"], [("p1", "t"), ("t", "p2")],
+            initial_marking={"p1", "x"})),
+        # no unique source: the BFS starts from the empty marking
+        ("empty-initial-marking", WFNet(
+            ["a", "b", "c"], ["t", "u"], [("a", "t"), ("b", "u"),
+                                          ("t", "c"), ("u", "c")])),
+    ]
+
+
+@pytest.mark.parametrize("net", [n for _, n in _edge_case_nets()],
+                         ids=[i for i, _ in _edge_case_nets()])
+def test_kernel_equals_reference_on_edge_cases(net):
+    assert_same_graph(net)
+
+
+def test_kernel_unsafe_message_is_byte_identical():
+    net = dict(_edge_case_nets())["unsafe"]
+    with pytest.raises(UnsafeNetError) as got:
+        build_reachability(net)
+    assert str(got.value) == ("net is not 1-bounded: firing 't' would put "
+                              "a second token in p3")
+
+
+@pytest.mark.parametrize("net", [fixtures.fig6_net(), par_redo_net(2, 2)],
+                         ids=["fig6", "par-redo-2-2"])
+def test_kernel_state_limit_at_the_marking_count(net):
+    count = len(build_reachability(net).nodes)
+    for limit in (count, count - 1, 1, 0):
+        assert_same_graph(net, limit)
+    assert len(build_reachability(net, count).nodes) == count
+    with pytest.raises(StateLimitError,
+                       match="exceeds %d states" % (count - 1)):
+        build_reachability(net, count - 1)
