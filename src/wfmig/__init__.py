@@ -12,7 +12,6 @@ from .tts import (Cycle, EdgeSet, attachable_cycles, expand_with_cycles,
 from .equivalence import (MappingTable, change_region,
                           find_equivalence_mapping, purge)
 from .oracle import GenParams, oracle_tts, random_wfnet, sufficiency_bound
-from .netformat import (NetDocument, parse_document, parse_net,
-                        serialize_document, serialize_net)
+from .netformat import parse_net, serialize_net
 
 __version__ = "0.1.0"

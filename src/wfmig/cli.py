@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (validation failure, state limit,
-unsafe net, unreachable marking), 2 usage or parse error.  Diagnostics go
-to stderr, data to stdout, and all output is byte-deterministic for equal
-inputs and flags.
+unsafe net, unreachable marking), 2 usage error, a net file that cannot be
+read or parsed, or a ``--dot`` file that cannot be written.  Diagnostics
+go to stderr, data to stdout, and all output is byte-deterministic for
+equal inputs and flags.
 """
 
 import argparse
@@ -23,8 +24,9 @@ def _load_net(path):
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        raise NetFormatError("cannot read %s: %s" % (path, exc.strerror),
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise NetFormatError("cannot read %s: %s" % (path, reason),
                              code="PARSE_ERROR") from exc
     return netformat.parse_net(text)
 
@@ -67,14 +69,19 @@ def cmd_reach(args):
     net = _load_net(args.net)
     _require_structural(net)
     graph = reachability.build_reachability(net, args.max_states)
+    if args.dot:
+        try:
+            with open(args.dot, "w", encoding="utf-8") as handle:
+                handle.write(reachability.to_dot(graph))
+        except OSError as exc:
+            raise NetFormatError("cannot write %s: %s"
+                                 % (args.dot, exc.strerror),
+                                 code="WRITE_ERROR") from exc
     print("nodes: %d" % len(graph.nodes))
     print("edges: %d" % len(graph.edges))
     print("initial: %s" % key_label(graph.initial))
     print("terminal: %s" % (key_label(graph.terminal)
                             if graph.terminal is not None else "-"))
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(reachability.to_dot(graph))
     return 0
 
 
@@ -135,8 +142,25 @@ def cmd_oracle_tts(args):
     return 0
 
 
+def _int_at_least(low):
+    """An argparse type: an int no smaller than ``low``, so a bad value is a
+    usage error and not a ``ValueError`` from the library."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r"
+                                             % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d: %r"
+                                             % (low, text))
+        return value
+    return parse
+
+
 def _add_max_states(parser):
-    parser.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES,
+    parser.add_argument("--max-states", type=_int_at_least(1),
+                        default=DEFAULT_MAX_STATES,
                         help="abort when the reachability graph exceeds this "
                              "many markings (default %d)" % DEFAULT_MAX_STATES)
 
@@ -185,8 +209,8 @@ def build_parser():
     # debugging helpers, kept out of the advertised command list
     p = sub.add_parser("gen-net")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-places", type=int, default=8)
-    p.add_argument("--max-transitions", type=int, default=10)
+    p.add_argument("--max-places", type=_int_at_least(2), default=8)
+    p.add_argument("--max-transitions", type=_int_at_least(1), default=10)
     p.add_argument("--loop-probability", type=float, default=0.2)
     p.add_argument("--parallel-probability", type=float, default=0.3)
     p.set_defaults(func=cmd_gen_net)

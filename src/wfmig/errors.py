@@ -43,7 +43,8 @@ class BoundTooSmallError(WfmigError):
 
 
 class NetFormatError(WfmigError):
-    """Net document is malformed. Codes: PARSE_ERROR, UNKNOWN_ENDPOINT,
-    NON_BIPARTITE_ARC, DUPLICATE_NAME."""
+    """A net file cannot be read or is malformed, or an output file cannot
+    be written. Codes: PARSE_ERROR, UNKNOWN_ENDPOINT, NON_BIPARTITE_ARC,
+    DUPLICATE_NAME, WRITE_ERROR."""
 
     code = "PARSE_ERROR"

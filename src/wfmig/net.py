@@ -43,15 +43,21 @@ class ValidationReport:
 class WFNet:
     """A workflow-net candidate: places, transitions, bipartite arcs.
 
-    The constructor enforces well-formedness (known arc endpoints, bipartite
-    arcs, unique names); workflow-net structure (unique source/sink, every
-    node on a source-to-sink path) is checked by :func:`validate_structural`
-    and reported, not raised.
+    The constructor enforces well-formedness (an initial marking of declared
+    places, known arc endpoints, bipartite arcs, unique names); workflow-net
+    structure (unique source/sink, every node on a source-to-sink path) is
+    checked by :func:`validate_structural` and reported, not raised.
     """
 
     def __init__(self, places, transitions, arcs, initial_marking=None, name=""):
         self.name = name
         self.places = frozenset(places)
+        if initial_marking is not None:
+            initial_marking = frozenset(initial_marking)
+            unknown = initial_marking - self.places
+            if unknown:
+                raise NetFormatError("initial marking names unknown place %r"
+                                     % min(unknown), code="UNKNOWN_ENDPOINT")
         trans = []
         for t in transitions:
             trans.append(t if isinstance(t, Transition) else Transition(str(t)))
@@ -112,7 +118,7 @@ class WFNet:
 
         self.explicit_initial = initial_marking is not None
         if initial_marking is not None:
-            self.initial_marking = frozenset(initial_marking)
+            self.initial_marking = initial_marking
         else:
             src = self.source_places()
             self.initial_marking = frozenset(src) if len(src) == 1 else frozenset()

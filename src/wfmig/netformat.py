@@ -11,50 +11,22 @@ A net document is a single JSON object:
     }
 
 A transition given as a bare string is a regular transition whose label is
-its id.  Arc endpoints name a declared place or transition id; weighted arcs
-(any third element) are rejected.  Serialization is canonical (sorted,
-two-space indent), so parse -> serialize -> parse is the identity.
+its id.  Arc endpoints name a declared place or transition id, one
+namespace, so an id may not also be a place name; weighted arcs (any third
+element) are rejected.  ``parse_net`` builds the ``WFNet`` directly, with
+arcs resolved from ids to labels.  ``serialize_net`` writes a net
+canonically (sorted, two-space indent, every transition id equal to its
+label), so ``parse_net(serialize_net(net)) == net`` for every net, and
+``serialize_net(parse_net(text)) == text`` for every canonical text.
 """
 
 import csv
 import io
 import json
-from dataclasses import dataclass
 
 from .errors import NetFormatError
 from .net import Transition, WFNet
 from .reachability import key_label
-
-
-@dataclass(frozen=True)
-class TransitionDecl:
-    id: str
-    label: str
-    empty: bool = False
-
-
-@dataclass(frozen=True)
-class NetDocument:
-    name: str
-    places: tuple
-    transitions: tuple      # TransitionDecl
-    arcs: tuple             # (from, to) pairs of ids
-    initial_marking: tuple = None
-
-    def to_net(self):
-        """Build the WFNet, resolving transition ids to labels in arcs."""
-        label_of = {t.id: t.label for t in self.transitions}
-        arcs = [(label_of.get(a, a), label_of.get(b, b)) for a, b in self.arcs]
-        initial = set(self.initial_marking) if self.initial_marking is not None else None
-        if initial is not None:
-            for p in initial:
-                if p not in self.places:
-                    raise NetFormatError(
-                        "initial marking names unknown place %r" % p,
-                        code="UNKNOWN_ENDPOINT")
-        return WFNet(self.places,
-                     [Transition(t.label, t.empty) for t in self.transitions],
-                     arcs, initial_marking=initial, name=self.name)
 
 
 def _expect(cond, message):
@@ -62,13 +34,18 @@ def _expect(cond, message):
         raise NetFormatError(message, code="PARSE_ERROR")
 
 
-def parse_document(text):
-    """Parse a net document; structural validation is not implied."""
+def parse_net(text):
+    """Parse a net document and build the net (well-formedness enforced,
+    workflow-structure validation left to the caller).  Arcs may name a
+    transition by id; they are resolved to its label."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetFormatError("line %d column %d: %s"
                              % (exc.lineno, exc.colno, exc.msg),
+                             code="PARSE_ERROR") from exc
+    except RecursionError as exc:
+        raise NetFormatError("values nested too deeply",
                              code="PARSE_ERROR") from exc
     _expect(isinstance(raw, dict), "top-level value must be an object")
     unknown = set(raw) - {"name", "places", "transitions", "arcs",
@@ -79,97 +56,79 @@ def parse_document(text):
             "'transitions' must be a list")
     _expect(isinstance(raw.get("arcs"), list), "'arcs' must be a list")
 
-    places = []
-    for p in raw["places"]:
-        _expect(isinstance(p, str) and p, "place names must be non-empty strings")
-        places.append(p)
+    places = raw["places"]
+    _expect(all(isinstance(p, str) and p for p in places),
+            "place names must be non-empty strings")
 
-    decls = []
-    seen_ids = set()
+    transitions = []
+    label_of = {}
     for entry in raw["transitions"]:
         if isinstance(entry, str):
-            entry = {"id": entry}
-        _expect(isinstance(entry, dict), "transition entries must be strings "
-                                         "or objects")
-        _expect(not set(entry) - {"id", "label", "empty"},
-                "transition entry keys are id, label, empty")
-        tid = entry.get("id")
+            tid = label = entry
+            empty = False
+        else:
+            _expect(isinstance(entry, dict), "transition entries must be "
+                                             "strings or objects")
+            _expect(not set(entry) - {"id", "label", "empty"},
+                    "transition entry keys are id, label, empty")
+            tid = entry.get("id")
+            label = entry.get("label", tid)
+            empty = entry.get("empty", False)
         _expect(isinstance(tid, str) and tid,
                 "transition id must be a non-empty string")
-        if tid in seen_ids:
+        if tid in label_of:
             raise NetFormatError("duplicate transition id %r" % tid,
                                  code="DUPLICATE_NAME")
-        seen_ids.add(tid)
-        label = entry.get("label", tid)
         _expect(isinstance(label, str) and label,
                 "transition label must be a non-empty string")
-        empty = entry.get("empty", False)
         _expect(isinstance(empty, bool), "'empty' must be a boolean")
-        decls.append(TransitionDecl(tid, label, empty))
+        label_of[tid] = label
+        transitions.append(Transition(label, empty))
 
     arcs = []
     for arc in raw["arcs"]:
         _expect(isinstance(arc, list) and len(arc) == 2
-                and all(isinstance(x, str) for x in arc),
+                and isinstance(arc[0], str) and isinstance(arc[1], str),
                 "arcs must be [from, to] name pairs (weighted arcs are not "
                 "supported)")
-        arcs.append(tuple(arc))
+        a, b = arc
+        arcs.append((label_of.get(a, a), label_of.get(b, b)))
 
     initial = raw.get("initial_marking")
     if initial is not None:
         _expect(isinstance(initial, list)
                 and all(isinstance(p, str) for p in initial),
                 "'initial_marking' must be a list of place names")
-        initial = tuple(initial)
 
     name = raw.get("name", "")
     _expect(isinstance(name, str), "'name' must be a string")
-    return NetDocument(name=name, places=tuple(places),
-                       transitions=tuple(decls), arcs=tuple(arcs),
-                       initial_marking=initial)
 
-
-def parse_net(text):
-    """Parse a net document and build the net (well-formedness enforced,
-    workflow-structure validation left to the caller)."""
-    return parse_document(text).to_net()
-
-
-def serialize_document(doc):
-    """Canonical JSON text for a document; byte-deterministic."""
-    trans = []
-    for t in sorted(doc.transitions, key=lambda t: t.id):
-        if t.label == t.id and not t.empty:
-            trans.append(t.id)
-        else:
-            entry = {"id": t.id, "label": t.label}
-            if t.empty:
-                entry["empty"] = True
-            trans.append(entry)
-    obj = {
-        "name": doc.name,
-        "places": sorted(doc.places),
-        "transitions": trans,
-        "arcs": [list(a) for a in sorted(doc.arcs)],
-    }
-    if doc.initial_marking is not None:
-        obj["initial_marking"] = sorted(doc.initial_marking)
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def document_for_net(net):
-    return NetDocument(
-        name=net.name,
-        places=tuple(sorted(net.places)),
-        transitions=tuple(TransitionDecl(t.label, t.label, t.is_empty)
-                          for t in net.transitions),
-        arcs=tuple(sorted(net.arcs)),
-        initial_marking=tuple(sorted(net.initial_marking))
-        if net.explicit_initial else None)
+    # arcs name places and transition ids alike, so an id must not be a
+    # place name; an id equal to its label is checked by WFNet with the
+    # other labels
+    declared = set(places)
+    for tid, label in label_of.items():
+        if tid != label and tid in declared:
+            raise NetFormatError("transition id %r is also a place name"
+                                 % tid, code="DUPLICATE_NAME")
+    return WFNet(places, transitions, arcs, initial_marking=initial,
+                 name=name)
 
 
 def serialize_net(net):
-    return serialize_document(document_for_net(net))
+    """Canonical JSON text for a net; byte-deterministic.  A regular
+    transition is written as its bare label, an empty one as an object."""
+    obj = {
+        "name": net.name,
+        "places": sorted(net.places),
+        "transitions": [{"id": t.label, "label": t.label, "empty": True}
+                        if t.is_empty else t.label
+                        for t in net.transitions],
+        "arcs": [list(a) for a in sorted(net.arcs)],
+    }
+    if net.explicit_initial:
+        obj["initial_marking"] = sorted(net.initial_marking)
+    return json.dumps(obj, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -72,10 +72,8 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
     init = net.initial_marking
-    # WFNet does not check that an explicit initial marking names declared
-    # places, so those get bits too
     bit, place_of, consumers = {}, {}, {}
-    for i, p in enumerate(sorted(net.places | init)):
+    for i, p in enumerate(sorted(net.places)):
         bit[p] = 1 << i
         place_of[1 << i] = p
         consumers[1 << i] = []

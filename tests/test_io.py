@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from wfmig import NetFormatError, build_reachability, parse_document, parse_net
+from wfmig import (GenParams, NetFormatError, Transition, WFNet,
+                   build_reachability, parse_net, random_wfnet,
+                   serialize_net)
 from wfmig import cli
 from wfmig.cli import main
 from wfmig.fixtures import ALL
-from wfmig.netformat import (document_for_net, serialize_document,
-                             serialize_net)
 
-from conftest import FIXTURES, long_sequence_net
+from conftest import FIXTURES, long_sequence_net, with_empty_transitions
 
 MINIMAL = """
 {
@@ -31,11 +31,31 @@ def test_parse_minimal():
 
 
 def test_round_trip_is_identity():
-    doc = parse_document(MINIMAL)
-    text = serialize_document(doc)
-    assert parse_document(text) == parse_document(serialize_document(
-        parse_document(text)))
-    assert parse_net(text) == parse_net(MINIMAL)
+    nets = [parse_net(MINIMAL)] + [make() for make in ALL.values()]
+    nets += [random_wfnet(GenParams(seed=seed)) for seed in range(100)]
+    nets += [with_empty_transitions(net, seed)
+             for seed, net in enumerate(nets)]
+    for net in nets:
+        text = serialize_net(net)
+        assert parse_net(text) == net
+        assert serialize_net(parse_net(text)) == text
+    for name in ALL:
+        text = (FIXTURES / ("%s.json" % name)).read_text()
+        assert serialize_net(parse_net(text)) == text
+
+
+def test_arcs_name_transitions_by_id():
+    net = parse_net("""{"name": "ids", "places": ["s", "m", "e"],
+        "transitions": [{"id": "t1", "label": "Approve"},
+                        {"id": "t2", "label": "sync", "empty": true}],
+        "arcs": [["s", "t1"], ["t1", "m"], ["m", "t2"], ["t2", "e"]]}""")
+    assert net == WFNet(["s", "m", "e"],
+                        ["Approve", Transition("sync", True)],
+                        [("s", "Approve"), ("Approve", "m"),
+                         ("m", "sync"), ("sync", "e")])
+    assert net.name == "ids"
+    assert net.empty_labels == {"sync"}
+    assert not net.explicit_initial
 
 
 def test_fixture_files_match_fixture_builders():
@@ -70,6 +90,10 @@ def test_fixture_files_match_fixture_builders():
     ('{"places": ["s", "m", "e"], "transitions": ["x,y", "x", "y"],'
      ' "arcs": [["s", "x,y"], ["x,y", "e"], ["s", "x"], ["x", "m"],'
      ' ["m", "y"], ["y", "e"]]}', "PARSE_ERROR"),
+    # arcs name ids and places alike: m -> B would silently become A -> B
+    ('{"places": ["s", "m", "e"],'
+     ' "transitions": [{"id": "m", "label": "A"}, "B"],'
+     ' "arcs": [["s", "m"], ["m", "B"], ["B", "e"]]}', "DUPLICATE_NAME"),
 ])
 def test_parse_errors(text, code):
     with pytest.raises(NetFormatError) as err:
@@ -300,3 +324,58 @@ def test_cli_output_is_deterministic(capsys):
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+BAD_INPUTS = {
+    "latin1.json": '{"name": "caf\xe9"}'.encode("latin-1"),
+    "deep.json": b"[" * 100000,
+    "collision.json": b'{"places": ["s", "m", "e"], "transitions":'
+                      b' [{"id": "m", "label": "A"}, "B"],'
+                      b' "arcs": [["s", "m"], ["m", "B"], ["B", "e"]]}',
+}
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("validate", fx("sequence"), "--max-states", "0"),
+     "wfmig validate: error: argument --max-states: must be at least 1: '0'"),
+    (("reach", fx("sequence"), "--max-states", "-2"),
+     "wfmig reach: error: argument --max-states: must be at least 1: '-2'"),
+    (("tts", fx("sequence"), "--marking", "p2", "--max-states", "0"),
+     "wfmig tts: error: argument --max-states: must be at least 1: '0'"),
+    (("map", "--old", fx("sequence"), "--new", fx("sequence"),
+      "--max-states", "0"),
+     "wfmig map: error: argument --max-states: must be at least 1: '0'"),
+    (("oracle-tts", fx("sequence"), "--marking", "p2", "--max-states", "0"),
+     "wfmig oracle-tts: error: argument --max-states: must be at least 1: "
+     "'0'"),
+    (("gen-net", "--max-places", "1"),
+     "wfmig gen-net: error: argument --max-places: must be at least 2: '1'"),
+    (("gen-net", "--max-transitions", "0"),
+     "wfmig gen-net: error: argument --max-transitions: must be at least 1: "
+     "'0'"),
+    (("validate", "{tmp}/latin1.json"),
+     "PARSE_ERROR: cannot read {tmp}/latin1.json: 'utf-8' codec can't "
+     "decode byte 0xe9 in position 13: invalid continuation byte"),
+    (("reach", fx("fig4"), "--dot", "{tmp}/missing/g.dot"),
+     "WRITE_ERROR: cannot write {tmp}/missing/g.dot: No such file or "
+     "directory"),
+    (("validate", "{tmp}/deep.json"),
+     "PARSE_ERROR: values nested too deeply"),
+    (("map", "--old", "{tmp}/collision.json", "--new", fx("sequence")),
+     "DUPLICATE_NAME: transition id 'm' is also a place name"),
+], ids=["validate-max-states-0", "reach-max-states-negative",
+        "tts-max-states-0", "map-max-states-0", "oracle-tts-max-states-0",
+        "gen-net-max-places-1", "gen-net-max-transitions-0", "not-utf-8",
+        "dot-unwritable", "deep-nesting", "id-is-a-place"])
+def test_cli_bad_arguments_and_files_exit_2_with_a_coded_line(
+        capsys, tmp_path, argv, err):
+    """Each call returns exit 2 with one diagnostic line last on stderr and
+    prints nothing to stdout; none raises out of main."""
+    for name, data in BAD_INPUTS.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, got = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert got.splitlines()[-1] == err.replace("{tmp}", str(tmp_path))
+    assert "Traceback" not in got

@@ -2,9 +2,10 @@ from collections import deque
 
 import pytest
 
-from wfmig import (RGEdge, ReachGraph, StateLimitError, UnsafeFiringError,
-                   UnsafeNetError, WFNet, build_reachability, enabled, fire,
-                   fixtures, to_dot, validate_behavioral)
+from wfmig import (NetFormatError, RGEdge, ReachGraph, StateLimitError,
+                   UnsafeFiringError, UnsafeNetError, WFNet,
+                   build_reachability, enabled, fire, fixtures, to_dot,
+                   validate_behavioral)
 from wfmig.oracle import GenParams, random_wfnet
 from wfmig.reachability import DEFAULT_MAX_STATES, marking_key
 
@@ -222,10 +223,6 @@ def _edge_case_nets():
                          [("p1", "s"), ("s", "p2"), ("s", "p3"),
                           ("p2", "t"), ("t", "p3"),
                           ("p3", "u"), ("u", "p4")])),
-        # an explicit initial marking may name a place no arc touches
-        ("undeclared-initial-place", WFNet(
-            ["p1", "p2"], ["t"], [("p1", "t"), ("t", "p2")],
-            initial_marking={"p1", "x"})),
         # no unique source: the BFS starts from the empty marking
         ("empty-initial-marking", WFNet(
             ["a", "b", "c"], ["t", "u"], [("a", "t"), ("b", "u"),
@@ -237,6 +234,15 @@ def _edge_case_nets():
                          ids=[i for i, _ in _edge_case_nets()])
 def test_kernel_equals_reference_on_edge_cases(net):
     assert_same_graph(net)
+
+
+def test_initial_marking_must_name_declared_places():
+    for places in (["p1", "p2"], ["p1", "p1", "p2"]):  # checked first
+        with pytest.raises(NetFormatError) as err:
+            WFNet(places, ["t"], [("p1", "t"), ("t", "p2")],
+                  initial_marking={"p1", "x"})
+        assert err.value.code == "UNKNOWN_ENDPOINT"
+        assert str(err.value) == "initial marking names unknown place 'x'"
 
 
 def test_kernel_unsafe_message_is_byte_identical():
