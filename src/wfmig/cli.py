@@ -92,7 +92,7 @@ def _reachable_marking(args):
     _require_structural(net)
     graph = reachability.build_reachability(net, args.max_states)
     key = marking_key(_parse_marking(args.marking))
-    if key not in graph.marking:
+    if key not in graph.succ:
         raise WfmigError("marking %s is not reachable" % key_label(key),
                          code="UNREACHABLE_MARKING")
     return net, graph, key

@@ -44,9 +44,12 @@ class WFNet:
     """A workflow-net candidate: places, transitions, bipartite arcs.
 
     The constructor enforces well-formedness (an initial marking of declared
-    places, known arc endpoints, bipartite arcs, unique names); workflow-net
-    structure (unique source/sink, every node on a source-to-sink path) is
-    checked by :func:`validate_structural` and reported, not raised.
+    places, known arc endpoints, bipartite arcs, unique names that encode as
+    UTF-8); workflow-net structure (unique source/sink, every node on a
+    source-to-sink path) is checked by :func:`validate_structural` and
+    reported, not raised.  Place names and transition labels share one
+    namespace, and one ``_pre`` and one ``_post`` map over it hold the
+    arcs: the nodes one arc before and one arc after each place or label.
     """
 
     def __init__(self, places, transitions, arcs, initial_marking=None, name=""):
@@ -71,6 +74,10 @@ class WFNet:
                 # marking keys and --marking arguments are comma-joined
                 raise NetFormatError("place name contains ',': %r" % p,
                                      code="PARSE_ERROR")
+            if p.encode("utf-8", "replace").decode("utf-8") != p:
+                # a lone surrogate cannot be printed
+                raise NetFormatError("place name does not encode as UTF-8: "
+                                     "%r" % p, code="PARSE_ERROR")
             if p in seen:
                 raise NetFormatError("duplicate place name: %r" % p,
                                      code="DUPLICATE_NAME")
@@ -82,6 +89,9 @@ class WFNet:
                 # tts lines comma-join labels
                 raise NetFormatError("transition label contains ',': %r"
                                      % t.label, code="PARSE_ERROR")
+            if t.label.encode("utf-8", "replace").decode("utf-8") != t.label:
+                raise NetFormatError("transition label does not encode as "
+                                     "UTF-8: %r" % t.label, code="PARSE_ERROR")
             if t.label in seen:
                 raise NetFormatError("duplicate name: %r" % t.label,
                                      code="DUPLICATE_NAME")
@@ -91,30 +101,22 @@ class WFNet:
         self.empty_labels = frozenset(t.label for t in self.transitions if t.is_empty)
 
         self.arcs = frozenset(tuple(a) for a in arcs)
-        inputs = {t.label: set() for t in self.transitions}
-        outputs = {t.label: set() for t in self.transitions}
-        place_in = {p: set() for p in self.places}
-        place_out = {p: set() for p in self.places}
+        pre = {n: set() for n in self.places | self.labels}
+        post = {n: set() for n in pre}
         for src, dst in sorted(self.arcs):
             for end in (src, dst):
-                if end not in self.places and end not in self.labels:
+                if end not in pre:
                     raise NetFormatError("arc endpoint %r is not a declared "
                                          "place or transition" % end,
                                          code="UNKNOWN_ENDPOINT")
-            if src in self.places and dst in self.labels:
-                inputs[dst].add(src)
-                place_out[src].add(dst)
-            elif src in self.labels and dst in self.places:
-                outputs[src].add(dst)
-                place_in[dst].add(src)
-            else:
+            if (src in self.places) == (dst in self.places):
                 raise NetFormatError("arc %r -> %r does not connect a place "
                                      "with a transition" % (src, dst),
                                      code="NON_BIPARTITE_ARC")
-        self._inputs = {t: frozenset(s) for t, s in inputs.items()}
-        self._outputs = {t: frozenset(s) for t, s in outputs.items()}
-        self._place_in = {p: frozenset(s) for p, s in place_in.items()}
-        self._place_out = {p: frozenset(s) for p, s in place_out.items()}
+            post[src].add(dst)
+            pre[dst].add(src)
+        self._pre = {n: frozenset(s) for n, s in pre.items()}
+        self._post = {n: frozenset(s) for n, s in post.items()}
 
         self.explicit_initial = initial_marking is not None
         if initial_marking is not None:
@@ -125,17 +127,17 @@ class WFNet:
 
     def inputs(self, label):
         """Input places of a transition."""
-        return self._inputs[label]
+        return self._pre[label]
 
     def outputs(self, label):
         """Output places of a transition."""
-        return self._outputs[label]
+        return self._post[label]
 
     def source_places(self):
-        return {p for p in self.places if not self._place_in[p]}
+        return {p for p in self.places if not self._pre[p]}
 
     def sink_places(self):
-        return {p for p in self.places if not self._place_out[p]}
+        return {p for p in self.places if not self._post[p]}
 
     def __eq__(self, other):
         if not isinstance(other, WFNet):
@@ -216,8 +218,7 @@ def validate_structural(net):
 
     if len(sources) == 1 and len(sinks) == 1:
         source, sink = sources[0], sinks[0]
-        on_path = (_reach({source}, {**net._place_out, **net._outputs})
-                   & _reach({sink}, {**net._place_in, **net._inputs}))
+        on_path = _reach({source}, net._post) & _reach({sink}, net._pre)
         for elem in sorted(net.places | net.labels):
             if elem in (source, sink):
                 continue

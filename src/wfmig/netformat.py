@@ -36,8 +36,9 @@ def _expect(cond, message):
 
 def parse_net(text):
     """Parse a net document and build the net (well-formedness enforced,
-    workflow-structure validation left to the caller).  Arcs may name a
-    transition by id; they are resolved to its label."""
+    workflow-structure validation left to the caller).  Arcs name a
+    transition by its id, never by a label that is not also its id; the
+    id is resolved to the label."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -111,8 +112,14 @@ def parse_net(text):
         if tid != label and tid in declared:
             raise NetFormatError("transition id %r is also a place name"
                                  % tid, code="DUPLICATE_NAME")
-    return WFNet(places, transitions, arcs, initial_marking=initial,
-                 name=name)
+    net = WFNet(places, transitions, arcs, initial_marking=initial, name=name)
+    # an endpoint WFNet accepted that is no place and no id is a label; it
+    # is checked last, so every error WFNet reports keeps its precedence
+    for end in (e for arc in raw["arcs"] for e in arc):
+        if end not in label_of and end not in declared:
+            raise NetFormatError("arc endpoint %r is not a declared place or "
+                                 "transition" % end, code="UNKNOWN_ENDPOINT")
+    return net
 
 
 def serialize_net(net):

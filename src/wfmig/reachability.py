@@ -1,24 +1,25 @@
 """Reachability graph of a 1-bounded workflow net, plus behavioral checks.
 
-Node identity is the canonical marking key: the comma-joined sorted list of
-marked place names.  Construction is breadth-first with successors expanded
-in sorted transition-label order, so equal nets always produce identical
-graphs.
+A node's key is its marking: the comma-joined sorted list of marked place
+names (names cannot contain ``,``), and the graph keeps no other form of it.
+An edge is a plain ``(src, label, dst)`` triple.  Construction is
+breadth-first with successors expanded in sorted transition-label order, so
+equal nets always produce identical graphs.
 
 The breadth-first search plays the token game on ints: each place is one
 bit, in sorted place order, and each transition has a ``pre`` and a
 ``post`` mask.  A transition is enabled at marking ``m`` when
 ``m & pre == pre`` and leads to ``(m & ~pre) | post``.  Only the consumers
 of the marked places, and the transitions with an empty preset, are tried
-at a marking.  The key string and the frozenset of places are built once
-per marking, when it is first found.  ``net.enabled`` and ``net.fire`` are
-the frozenset form of the same game; a firing that would break
-1-boundedness is handed to ``fire``, which reports it.
+at a marking.  The key string is built once per marking, when it is first
+found.  ``net.enabled`` and ``net.fire`` are the frozenset form of the same
+game; a firing that would break 1-boundedness is handed to ``fire``, which
+reports it.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
+from typing import NamedTuple
 
 from . import net as wfnet
 from .errors import StateLimitError, UnsafeFiringError, UnsafeNetError
@@ -37,9 +38,8 @@ def key_label(key):
     return "{%s}" % key
 
 
-@dataclass(frozen=True)
-class RGEdge:
-    """One labeled marking transition; identity is the full triple."""
+class RGEdge(NamedTuple):
+    """One labeled marking transition; identity and order are the triple's."""
 
     src: str
     label: str
@@ -52,7 +52,6 @@ class ReachGraph:
     edges: tuple            # RGEdge in discovery order
     initial: str
     terminal: str           # key of the {sink} marking, or None
-    marking: dict = field(compare=False)   # key -> frozenset of places
     succ: dict = field(compare=False)      # key -> tuple of outgoing RGEdge
 
     def pred(self):
@@ -71,7 +70,6 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
     """
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
-    init = net.initial_marking
     bit, place_of, consumers = {}, {}, {}
     for i, p in enumerate(sorted(net.places)):
         bit[p] = 1 << i
@@ -91,21 +89,20 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
             free.append(i)
 
     def discover(m):
-        """Key and places of a new marking, and its candidate transitions
-        in sorted label order.  Bits are in place order, so the places come
-        out sorted and their join is ``marking_key``."""
+        """Key of a new marking and its candidate transitions in sorted
+        label order.  Bits are in place order, so the places come out
+        sorted and their join is ``marking_key``."""
         places, cands = [], set(free)
         while m:
             low = m & -m
             places.append(place_of[low])
             cands.update(consumers[low])
             m ^= low
-        return ",".join(places), places, [trans[i] for i in sorted(cands)]
+        return ",".join(places), [trans[i] for i in sorted(cands)]
 
-    m0 = sum(bit[p] for p in init)
-    init_key, _, cands = discover(m0)
+    m0 = sum(bit[p] for p in net.initial_marking)
+    init_key, cands = discover(m0)
     key_of = {m0: init_key}
-    marking = {init_key: init}
     order = [init_key]
     edges = []
     succ = {}
@@ -117,9 +114,9 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
             if m & pre != pre:
                 continue
             rest = m ^ pre
-            if post & rest:
+            if post & rest:  # a clash needs a marked place: ``key`` is not ""
                 try:
-                    wfnet.fire(net, marking[key], label)  # raises for a clash
+                    wfnet.fire(net, frozenset(key.split(",")), label)  # raises
                 except UnsafeFiringError as exc:
                     raise UnsafeNetError(
                         "net is not 1-bounded: %s" % exc) from exc
@@ -129,9 +126,8 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
                 if len(order) + 1 > max_states:
                     raise StateLimitError(
                         "reachability exceeds %d states" % max_states)
-                nxt_key, places, nxt_cands = discover(nxt)
+                nxt_key, nxt_cands = discover(nxt)
                 key_of[nxt] = nxt_key
-                marking[nxt_key] = frozenset(places)
                 order.append(nxt_key)
                 queue.append((nxt, nxt_key, nxt_cands))
             out.append(RGEdge(key, label, nxt_key))
@@ -139,14 +135,10 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
         succ[key] = tuple(out)
 
     sinks = net.sink_places()
-    terminal = None
-    if len(sinks) == 1:
-        term_key = marking_key(frozenset(sinks))
-        if term_key in marking:
-            terminal = term_key
+    term_key = marking_key(sinks)
+    terminal = term_key if len(sinks) == 1 and term_key in succ else None
     return ReachGraph(nodes=tuple(order), edges=tuple(edges),
-                      initial=init_key, terminal=terminal,
-                      marking=marking, succ=succ)
+                      initial=init_key, terminal=terminal, succ=succ)
 
 
 def validate_behavioral(net, graph):
@@ -190,7 +182,6 @@ def to_dot(graph):
     lines = ["digraph reachability {"]
     lines.extend(['  "{%s}";' % key for key in sorted(graph.nodes)])
     lines.extend(['  "{%s}" -> "{%s}" [label="%s"];' % (e.src, e.dst, e.label)
-                  for e in sorted(graph.edges,
-                                  key=attrgetter("src", "label", "dst"))])
+                  for e in sorted(graph.edges)])
     lines.append("}")
     return "\n".join(lines) + "\n"

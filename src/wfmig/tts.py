@@ -12,8 +12,6 @@ fixpoint (``tts_for_node``).
 
 from dataclasses import dataclass
 
-from .reachability import RGEdge
-
 
 @dataclass(frozen=True)
 class Cycle:
@@ -158,7 +156,8 @@ def tts_all(graph, ignore=frozenset()):
     """TTS families for every node: a worklist closure over (node, label
     set) states from (initial, {}), where an edge leads to (dst, labels |
     {label}) and a label in ``ignore`` adds nothing.  Each state reached at
-    a node is one of its TTSs, with the ``ignore`` labels left out."""
+    a node is one of its TTSs, with the ``ignore`` labels left out; a
+    node's family is the set of those frozensets."""
     families = {node: set() for node in graph.nodes}
     families[graph.initial].add(frozenset())
     worklist = [(graph.initial, frozenset())]
@@ -169,4 +168,4 @@ def tts_all(graph, ignore=frozenset()):
             if reached not in families[edge.dst]:
                 families[edge.dst].add(reached)
                 worklist.append((edge.dst, reached))
-    return {node: frozenset(family) for node, family in families.items()}
+    return families

@@ -9,6 +9,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
+# a net document naming a place by a lone surrogate, which cannot be printed
+SURROGATE = ('{"places": ["s", "\\ud800", "e"], "transitions": ["t", "u"],'
+             ' "arcs": [["s", "t"], ["t", "e"], ["\\ud800", "u"],'
+             ' ["u", "e"]]}')
+
 
 def long_sequence_net(n):
     """p0 -T1-> p1 -T2-> ... -Tn-> pn."""

@@ -11,7 +11,8 @@ from wfmig import cli
 from wfmig.cli import main
 from wfmig.fixtures import ALL
 
-from conftest import FIXTURES, long_sequence_net, with_empty_transitions
+from conftest import (FIXTURES, SURROGATE, long_sequence_net,
+                      with_empty_transitions)
 
 MINIMAL = """
 {
@@ -94,6 +95,13 @@ def test_fixture_files_match_fixture_builders():
     ('{"places": ["s", "m", "e"],'
      ' "transitions": [{"id": "m", "label": "A"}, "B"],'
      ' "arcs": [["s", "m"], ["m", "B"], ["B", "e"]]}', "DUPLICATE_NAME"),
+    # arcs name transition ids: the label A is not an endpoint
+    ('{"places": ["s", "e"], "transitions": [{"id": "t1", "label": "A"}],'
+     ' "arcs": [["s", "A"], ["A", "e"]]}', "UNKNOWN_ENDPOINT"),
+    # a lone surrogate cannot be printed, in a place name or a label
+    (SURROGATE, "PARSE_ERROR"),
+    ('{"places": ["s", "e"], "transitions": ["\\udc80"],'
+     ' "arcs": [["s", "\\udc80"], ["\\udc80", "e"]]}', "PARSE_ERROR"),
 ])
 def test_parse_errors(text, code):
     with pytest.raises(NetFormatError) as err:
@@ -332,6 +340,7 @@ BAD_INPUTS = {
     "collision.json": b'{"places": ["s", "m", "e"], "transitions":'
                       b' [{"id": "m", "label": "A"}, "B"],'
                       b' "arcs": [["s", "m"], ["m", "B"], ["B", "e"]]}',
+    "surrogate.json": SURROGATE.encode("ascii"),
 }
 
 
@@ -363,10 +372,13 @@ BAD_INPUTS = {
      "PARSE_ERROR: values nested too deeply"),
     (("map", "--old", "{tmp}/collision.json", "--new", fx("sequence")),
      "DUPLICATE_NAME: transition id 'm' is also a place name"),
+    (("validate", "{tmp}/surrogate.json"),
+     "PARSE_ERROR: place name does not encode as UTF-8: '\\ud800'"),
 ], ids=["validate-max-states-0", "reach-max-states-negative",
         "tts-max-states-0", "map-max-states-0", "oracle-tts-max-states-0",
         "gen-net-max-places-1", "gen-net-max-transitions-0", "not-utf-8",
-        "dot-unwritable", "deep-nesting", "id-is-a-place"])
+        "dot-unwritable", "deep-nesting", "id-is-a-place",
+        "lone-surrogate"])
 def test_cli_bad_arguments_and_files_exit_2_with_a_coded_line(
         capsys, tmp_path, argv, err):
     """Each call returns exit 2 with one diagnostic line last on stderr and
