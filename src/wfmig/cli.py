@@ -31,12 +31,15 @@ def _load_net(path):
     return netformat.parse_net(text)
 
 
+def _print_violations(report, file=None):
+    for v in report.violations:
+        print("%s %s: %s" % (v.code, v.element, v.message), file=file)
+
+
 def _require_structural(net):
     report = validate_structural(net)
     if not report.ok:
-        for v in report.violations:
-            print("%s %s: %s" % (v.code, v.element, v.message),
-                  file=sys.stderr)
+        _print_violations(report, sys.stderr)
         raise WfmigError("net %r is not a valid workflow net" % net.name,
                          code="INVALID_NET")
     return report
@@ -49,14 +52,12 @@ def _parse_marking(text):
 def cmd_validate(args):
     net = _load_net(args.net)
     structural = validate_structural(net)
-    for v in structural.violations:
-        print("%s %s: %s" % (v.code, v.element, v.message))
+    _print_violations(structural)
     behavioral_ok = False
     if structural.ok:
         graph = reachability.build_reachability(net, args.max_states)
         behavioral = reachability.validate_behavioral(net, graph)
-        for v in behavioral.violations:
-            print("%s %s: %s" % (v.code, v.element, v.message))
+        _print_violations(behavioral)
         behavioral_ok = behavioral.ok
     print("structural: %s" % ("ok" if structural.ok else "FAILED"))
     print("behavioral: %s"
@@ -239,12 +240,10 @@ def main(argv=None):
         return exc.code if exc.code is not None else 0
     try:
         return args.func(args)
-    except NetFormatError as exc:
-        print("%s: %s" % (exc.code, exc), file=sys.stderr)
-        return USAGE_ERROR
     except WfmigError as exc:
         print("%s: %s" % (exc.code, exc), file=sys.stderr)
-        return DOMAIN_ERROR
+        return (USAGE_ERROR if isinstance(exc, NetFormatError)
+                else DOMAIN_ERROR)
 
 
 if __name__ == "__main__":

@@ -45,7 +45,8 @@ class WFNet:
 
     The constructor enforces well-formedness (an initial marking of declared
     places, known arc endpoints, bipartite arcs, unique names that encode as
-    UTF-8); workflow-net structure (unique source/sink, every node on a
+    UTF-8 and hold no ``,``, place names without leading or trailing
+    whitespace); workflow-net structure (unique source/sink, every node on a
     source-to-sink path) is checked by :func:`validate_structural` and
     reported, not raised.  Place names and transition labels share one
     namespace, and one ``_pre`` and one ``_post`` map over it hold the
@@ -74,6 +75,10 @@ class WFNet:
                 # marking keys and --marking arguments are comma-joined
                 raise NetFormatError("place name contains ',': %r" % p,
                                      code="PARSE_ERROR")
+            if p != p.strip():
+                # --marking arguments are stripped name by name
+                raise NetFormatError("place name has leading or trailing "
+                                     "whitespace: %r" % p, code="PARSE_ERROR")
             if p.encode("utf-8", "replace").decode("utf-8") != p:
                 # a lone surrogate cannot be printed
                 raise NetFormatError("place name does not encode as UTF-8: "

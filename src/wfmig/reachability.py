@@ -178,10 +178,17 @@ def validate_behavioral(net, graph):
 
 def to_dot(graph):
     """Render the graph as DOT text, byte-deterministic (canonical order).
-    Node names are ``key_label`` forms, written inline."""
+    Node names are ``key_label`` forms, written inline; ``\\`` and ``"``
+    in names and labels are escaped, once per name."""
+    esc = {name: name.replace("\\", "\\\\").replace('"', '\\"')
+           for name in {*graph.nodes, *(e.label for e in graph.edges)}}
+    order = sorted(graph.nodes)
     lines = ["digraph reachability {"]
-    lines.extend(['  "{%s}";' % key for key in sorted(graph.nodes)])
-    lines.extend(['  "{%s}" -> "{%s}" [label="%s"];' % (e.src, e.dst, e.label)
-                  for e in sorted(graph.edges)])
+    lines.extend(['  "{%s}";' % esc[key] for key in order])
+    # edges in (src, label, dst) order, sorted one source at a time
+    lines.extend(['  "{%s}" -> "{%s}" [label="%s"];'
+                  % (esc[src], esc[dst], esc[lab])
+                  for key in order
+                  for src, lab, dst in sorted(graph.succ[key])])
     lines.append("}")
     return "\n".join(lines) + "\n"

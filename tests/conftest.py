@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from wfmig import Transition, WFNet, fixtures
+from wfmig import Transition, WFNet, parse_net
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+# the reference nets, by file stem
+FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))
 
 # a net document naming a place by a lone surrogate, which cannot be printed
 SURROGATE = ('{"places": ["s", "\\ud800", "e"], "transitions": ["t", "u"],'
@@ -52,23 +54,27 @@ def with_empty_transitions(net, seed, share=0.3):
                  net.arcs, net.initial_marking, name=net.name)
 
 
-@pytest.fixture
-def fixture_path():
-    def lookup(name):
-        return str(FIXTURES / ("%s.json" % name))
-    return lookup
+def fixture_path(name):
+    return str(FIXTURES / ("%s.json" % name))
+
+
+def fixture_net(name):
+    """The reference net ``fixtures/<name>.json``, parsed as the CLI
+    parses it."""
+    with open(fixture_path(name), encoding="utf-8") as handle:
+        return parse_net(handle.read())
 
 
 @pytest.fixture
 def sequence_net():
-    return fixtures.sequence_net()
+    return fixture_net("sequence")
 
 
 @pytest.fixture
 def fig4_net():
-    return fixtures.fig4_net()
+    return fixture_net("fig4")
 
 
 @pytest.fixture
 def fig6_net():
-    return fixtures.fig6_net()
+    return fixture_net("fig6")

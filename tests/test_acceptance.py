@@ -9,17 +9,11 @@ from wfmig import (build_reachability, change_region,
                    find_equivalence_mapping, purge, tts_all, tts_for_node,
                    validate_behavioral, validate_structural)
 from wfmig.cli import main
-from wfmig.fixtures import (fig2b_net, fig4_net, fig6_net, fig8_new_net,
-                            fig8_old_net, sequence_net)
 from wfmig.oracle import GenParams, oracle_tts, random_wfnet
 from wfmig.tts import EdgeSet, attachable_cycles, find_cycles, \
     find_simple_paths
 
-from conftest import FIXTURES
-
-
-def fx(name):
-    return str(FIXTURES / ("%s.json" % name))
+from conftest import FIXTURE_NAMES, fixture_net, fixture_path as fx
 
 
 class _Criterion:
@@ -60,7 +54,7 @@ def test_criterion_1_fig4_tts(capsys):
 
 def test_criterion_2_fig6_fixpoint():
     with _Criterion(2, "fig6 fixpoint reproduction", 1):
-        graph = build_reachability(fig6_net())
+        graph = build_reachability(fixture_net("fig6"))
         cycles = find_cycles(graph)
         (seed,) = [EdgeSet.from_path(p, graph.initial)
                    for p in find_simple_paths(graph, graph.initial, "P1")]
@@ -168,11 +162,11 @@ def test_criterion_6_mapping_oracle_equivalence():
 
 def test_criterion_7_validation_codes():
     with _Criterion(7, "validation fixtures", 1):
-        report = validate_structural(fig2b_net())
+        report = validate_structural(fixture_net("fig2b"))
         assert not report.ok
         assert "NOT_ON_PATH" in report.codes()
 
-        net = sequence_net()
+        net = fixture_net("sequence")
         structural = validate_structural(net)
         assert structural.ok
         behavioral = validate_behavioral(net, build_reachability(net))
@@ -181,13 +175,11 @@ def test_criterion_7_validation_codes():
 
 def test_criterion_8_cli_determinism(capsys):
     with _Criterion(8, "CLI byte determinism", 30):
-        fixtures = ["sequence", "fig2b", "fig4", "fig6", "fig8_old",
-                    "fig8_new"]
         tts_marking = {"sequence": "p2", "fig2b": "p2", "fig4": "P2",
                        "fig6": "P1", "fig8_old": "p2,p6",
                        "fig8_new": "p13,p2"}
         runs = []
-        for name in fixtures:
+        for name in FIXTURE_NAMES:
             runs.append(["validate", fx(name)])
             runs.append(["reach", fx(name)])
             runs.append(["tts", fx(name), "--marking", tts_marking[name]])

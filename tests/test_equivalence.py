@@ -2,10 +2,9 @@ import pytest
 
 from wfmig import (WFNet, build_reachability, change_region,
                    find_equivalence_mapping, purge)
-from wfmig.fixtures import fig8_new_net, fig8_old_net
 from wfmig.oracle import GenParams, oracle_tts, random_wfnet
 
-from conftest import par_redo_net, with_empty_transitions
+from conftest import fixture_net, par_redo_net, with_empty_transitions
 
 TABLE_1 = {
     "p1": {"p1", "p12,p2"},
@@ -46,22 +45,25 @@ def test_purge_is_idempotent():
 
 
 def test_table_1_mapping():
-    table = find_equivalence_mapping(fig8_old_net(), fig8_new_net())
+    table = find_equivalence_mapping(fixture_net("fig8_old"),
+                                     fixture_net("fig8_new"))
     assert {key: set(eq) for key, eq in table.rows} == TABLE_1
 
 
 def test_table_1_change_region():
-    table = find_equivalence_mapping(fig8_old_net(), fig8_new_net())
+    table = find_equivalence_mapping(fixture_net("fig8_old"),
+                                     fixture_net("fig8_new"))
     assert change_region(table) == {k for k, v in TABLE_1.items() if not v}
 
 
 def test_old_net_marking_count():
-    g = build_reachability(fig8_old_net())
+    g = build_reachability(fixture_net("fig8_old"))
     assert sorted(g.nodes) == sorted(TABLE_1)
 
 
 def test_identity_migration(fig4_net, sequence_net):
-    for net in (sequence_net, fig4_net, fig8_old_net(), par_redo_net(2, 2)):
+    for net in (sequence_net, fig4_net, fixture_net("fig8_old"),
+                par_redo_net(2, 2)):
         table = find_equivalence_mapping(net, net)
         assert change_region(table) == set()
         for key, eq in table.rows:
@@ -137,7 +139,8 @@ def test_initials_match_when_acyclic_and_no_empties():
 
 
 def test_rows_are_sorted():
-    table = find_equivalence_mapping(fig8_old_net(), fig8_new_net())
+    table = find_equivalence_mapping(fixture_net("fig8_old"),
+                                     fixture_net("fig8_new"))
     keys = [key for key, _ in table.rows]
     assert keys == sorted(keys)
     for _, eq in table.rows:

@@ -1,18 +1,24 @@
 import csv
 import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wfmig import (GenParams, NetFormatError, Transition, WFNet,
                    build_reachability, parse_net, random_wfnet,
-                   serialize_net)
+                   serialize_net, to_dot)
 from wfmig import cli
 from wfmig.cli import main
-from wfmig.fixtures import ALL
 
-from conftest import (FIXTURES, SURROGATE, long_sequence_net,
+from conftest import (FIXTURE_NAMES, SURROGATE, fixture_net,
+                      fixture_path as fx, long_sequence_net,
                       with_empty_transitions)
+
+# s -t-> " m" -u-> e: the middle place name starts with a space
+SPACED = ('{"places": ["s", " m", "e"], "transitions": ["t", "u"],'
+          ' "arcs": [["s", "t"], ["t", " m"], [" m", "u"], ["u", "e"]]}')
 
 MINIMAL = """
 {
@@ -32,7 +38,7 @@ def test_parse_minimal():
 
 
 def test_round_trip_is_identity():
-    nets = [parse_net(MINIMAL)] + [make() for make in ALL.values()]
+    nets = [parse_net(MINIMAL)] + [fixture_net(name) for name in FIXTURE_NAMES]
     nets += [random_wfnet(GenParams(seed=seed)) for seed in range(100)]
     nets += [with_empty_transitions(net, seed)
              for seed, net in enumerate(nets)]
@@ -40,9 +46,49 @@ def test_round_trip_is_identity():
         text = serialize_net(net)
         assert parse_net(text) == net
         assert serialize_net(parse_net(text)) == text
-    for name in ALL:
-        text = (FIXTURES / ("%s.json" % name)).read_text()
+    for name in FIXTURE_NAMES:
+        with open(fx(name), encoding="utf-8") as handle:
+            text = handle.read()
         assert serialize_net(parse_net(text)) == text
+
+
+# Names with JSON and DOT specials, inner spaces and non-ASCII characters;
+# stripped, as place names may not start or end with whitespace.
+NAMES = st.text(alphabet='ab"\\{} \xe9\u4e2d\U0001f600', min_size=1,
+                max_size=5).map(str.strip).filter(bool)
+QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+@st.composite
+def renamed_nets(draw):
+    """A generator net with about 30% empty transitions, its places and
+    labels renamed one-to-one to names drawn from ``NAMES``."""
+    seed = draw(st.integers(0, 10 ** 6))
+    net = with_empty_transitions(random_wfnet(GenParams(seed=seed)), seed)
+    old = sorted(net.places) + [t.label for t in net.transitions]
+    to = dict(zip(old, draw(st.lists(NAMES, min_size=len(old),
+                                     max_size=len(old), unique=True))))
+    return WFNet([to[p] for p in net.places],
+                 [Transition(to[t.label], t.is_empty)
+                  for t in net.transitions],
+                 [(to[a], to[b]) for a, b in net.arcs],
+                 [to[p] for p in net.initial_marking], name=draw(NAMES))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(renamed_nets())
+def test_round_trip_and_dot_on_arbitrary_names(net):
+    text = serialize_net(net)
+    assert parse_net(text) == net
+    assert serialize_net(parse_net(text)) == text
+    graph = build_reachability(net)
+    lines = to_dot(graph).splitlines()[1:-1]
+    quoted = [[re.sub(r"\\(.)", r"\1", q) for q in QUOTED.findall(line)]
+              for line in lines]
+    assert quoted == (
+        [["{%s}" % key] for key in sorted(graph.nodes)]
+        + [["{%s}" % src, "{%s}" % dst, label]
+           for src, label, dst in sorted(graph.edges)])
 
 
 def test_arcs_name_transitions_by_id():
@@ -57,13 +103,6 @@ def test_arcs_name_transitions_by_id():
     assert net.name == "ids"
     assert net.empty_labels == {"sync"}
     assert not net.explicit_initial
-
-
-def test_fixture_files_match_fixture_builders():
-    for name, make in ALL.items():
-        text = (FIXTURES / ("%s.json" % name)).read_text()
-        assert text == serialize_net(make())
-        assert parse_net(text) == make()
 
 
 @pytest.mark.parametrize("text,code", [
@@ -102,6 +141,8 @@ def test_fixture_files_match_fixture_builders():
     (SURROGATE, "PARSE_ERROR"),
     ('{"places": ["s", "e"], "transitions": ["\\udc80"],'
      ' "arcs": [["s", "\\udc80"], ["\\udc80", "e"]]}', "PARSE_ERROR"),
+    # --marking strips each name, so " m" could be listed but not queried
+    (SPACED, "PARSE_ERROR"),
 ])
 def test_parse_errors(text, code):
     with pytest.raises(NetFormatError) as err:
@@ -124,7 +165,7 @@ def test_empty_transition_parsing():
 
 
 def test_fig8_old_fixture_yields_13_markings():
-    net = parse_net((FIXTURES / "fig8_old.json").read_text())
+    net = fixture_net("fig8_old")
     assert len(build_reachability(net).nodes) == 13
 
 
@@ -135,10 +176,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def fx(name):
-    return str(FIXTURES / ("%s.json" % name))
 
 
 def test_cli_validate_ok(capsys):
@@ -341,6 +378,7 @@ BAD_INPUTS = {
                       b' [{"id": "m", "label": "A"}, "B"],'
                       b' "arcs": [["s", "m"], ["m", "B"], ["B", "e"]]}',
     "surrogate.json": SURROGATE.encode("ascii"),
+    "spaced.json": SPACED.encode("ascii"),
 }
 
 
@@ -374,11 +412,13 @@ BAD_INPUTS = {
      "DUPLICATE_NAME: transition id 'm' is also a place name"),
     (("validate", "{tmp}/surrogate.json"),
      "PARSE_ERROR: place name does not encode as UTF-8: '\\ud800'"),
+    (("tts", "{tmp}/spaced.json", "--marking", " m"),
+     "PARSE_ERROR: place name has leading or trailing whitespace: ' m'"),
 ], ids=["validate-max-states-0", "reach-max-states-negative",
         "tts-max-states-0", "map-max-states-0", "oracle-tts-max-states-0",
         "gen-net-max-places-1", "gen-net-max-transitions-0", "not-utf-8",
         "dot-unwritable", "deep-nesting", "id-is-a-place",
-        "lone-surrogate"])
+        "lone-surrogate", "place-name-whitespace"])
 def test_cli_bad_arguments_and_files_exit_2_with_a_coded_line(
         capsys, tmp_path, argv, err):
     """Each call returns exit 2 with one diagnostic line last on stderr and

@@ -3,7 +3,8 @@ import pytest
 from wfmig import (NetFormatError, NotEnabledError, Transition,
                    UnsafeFiringError, WFNet, enabled, fire,
                    validate_structural)
-from wfmig.fixtures import fig2b_net
+
+from conftest import fixture_net
 
 
 def test_sequence_net_is_valid(sequence_net):
@@ -13,7 +14,7 @@ def test_sequence_net_is_valid(sequence_net):
 
 
 def test_fig2b_reports_not_on_path():
-    report = validate_structural(fig2b_net())
+    report = validate_structural(fixture_net("fig2b"))
     assert not report.ok
     assert "NOT_ON_PATH" in report.codes()
     assert "P1" in {v.element for v in report.violations
@@ -105,8 +106,8 @@ def test_enabled_iff_fire_succeeds(fig4_net):
 
 
 def test_validate_structural_is_pure(fig6_net):
-    from wfmig.fixtures import fig6_net as make
-    assert validate_structural(fig6_net) == validate_structural(make())
+    assert (validate_structural(fig6_net)
+            == validate_structural(fixture_net("fig6")))
 
 
 def test_constructor_rejects_duplicate_names():

@@ -4,12 +4,13 @@ import pytest
 
 from wfmig import (NetFormatError, RGEdge, ReachGraph, StateLimitError,
                    UnsafeFiringError, UnsafeNetError, WFNet,
-                   build_reachability, enabled, fire, fixtures, to_dot,
+                   build_reachability, enabled, fire, to_dot,
                    validate_behavioral)
 from wfmig.oracle import GenParams, random_wfnet
 from wfmig.reachability import DEFAULT_MAX_STATES, marking_key
 
-from conftest import GOLDEN, long_sequence_net, par_redo_net
+from conftest import (FIXTURE_NAMES, GOLDEN, fixture_net, long_sequence_net,
+                      par_redo_net)
 
 
 def test_sequence_graph(sequence_net):
@@ -77,9 +78,8 @@ def test_no_terminal_flags_every_node(fig4_net):
 
 
 def test_build_is_deterministic(fig6_net):
-    from wfmig.fixtures import fig6_net as make
     a = build_reachability(fig6_net)
-    b = build_reachability(make())
+    b = build_reachability(fixture_net("fig6"))
     assert a.nodes == b.nodes
     assert a.edges == b.edges
 
@@ -123,6 +123,20 @@ def test_to_dot_orders_edges_by_source_label_destination():
                 arcs=[("p1", "a"), ("a", "p3"), ("p1", "b"), ("b", "p2")])
     assert to_dot(build_reachability(net)).splitlines()[4:6] == [
         '  "{p1}" -> "{p3}" [label="a"];', '  "{p1}" -> "{p2}" [label="b"];']
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    net = WFNet(places=["s", 'm"x', "e"], transitions=["t\\u", "v"],
+                arcs=[("s", "t\\u"), ("t\\u", 'm"x'), ('m"x', "v"),
+                      ("v", "e")])
+    assert to_dot(build_reachability(net)) == (
+        'digraph reachability {\n'
+        '  "{e}";\n'
+        '  "{m\\"x}";\n'
+        '  "{s}";\n'
+        '  "{m\\"x}" -> "{e}" [label="v"];\n'
+        '  "{s}" -> "{m\\"x}" [label="t\\\\u"];\n'
+        '}\n')
 
 
 def test_to_dot_goldens(sequence_net, fig4_net):
@@ -187,9 +201,9 @@ def assert_same_graph(net, max_states=DEFAULT_MAX_STATES):
     assert g.succ == expected.succ
 
 
-@pytest.mark.parametrize("name", sorted(fixtures.ALL))
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_kernel_equals_reference_on_fixtures(name):
-    assert_same_graph(fixtures.ALL[name]())
+    assert_same_graph(fixture_net(name))
 
 
 def test_kernel_equals_reference_on_generator_nets():
@@ -260,7 +274,7 @@ def test_kernel_unsafe_message_is_byte_identical():
                               "a second token in p3")
 
 
-@pytest.mark.parametrize("net", [fixtures.fig6_net(), par_redo_net(2, 2)],
+@pytest.mark.parametrize("net", [fixture_net("fig6"), par_redo_net(2, 2)],
                          ids=["fig6", "par-redo-2-2"])
 def test_kernel_state_limit_at_the_marking_count(net):
     count = len(build_reachability(net).nodes)
