@@ -4,9 +4,9 @@ from .errors import (BoundTooSmallError, NetFormatError, NotEnabledError,
                      StateLimitError, UnsafeFiringError, UnsafeNetError,
                      WfmigError)
 from .net import (Transition, ValidationReport, Violation, WFNet, enabled,
-                  fire, validate_structural)
-from .reachability import (RGEdge, ReachGraph, build_reachability,
-                           marking_key, to_dot, validate_behavioral)
+                  fire, marking_key, validate_structural)
+from .reachability import (RGEdge, ReachGraph, build_reachability, to_dot,
+                           validate_behavioral)
 from .tts import (Cycle, EdgeSet, attachable_cycles, expand_with_cycles,
                   find_cycles, find_simple_paths, tts_all, tts_for_node)
 from .equivalence import (MappingTable, change_region,

@@ -13,8 +13,8 @@ import sys
 
 from . import equivalence, netformat, oracle, reachability, tts
 from .errors import NetFormatError, WfmigError
-from .net import validate_structural
-from .reachability import DEFAULT_MAX_STATES, key_label, marking_key
+from .net import key_label, marking_key, validate_structural
+from .reachability import DEFAULT_MAX_STATES
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -101,7 +101,7 @@ def _reachable_marking(args):
 
 def _print_family(family):
     for member in sorted(family, key=sorted):
-        print(key_label(",".join(sorted(member))))
+        print(key_label(marking_key(member)))
 
 
 def cmd_tts(args):
@@ -118,11 +118,10 @@ def cmd_map(args):
     _require_structural(new_net)
     table = equivalence.find_equivalence_mapping(old_net, new_net,
                                                  args.max_states)
-    doc = netformat.mapping_document(old_net, new_net, table)
     emit = {"table": netformat.emit_table,
             "json": netformat.emit_json,
             "csv": netformat.emit_csv}[args.format]
-    sys.stdout.write(emit(doc))
+    sys.stdout.write(emit(old_net, new_net, table))
     if args.fail_on_change_region and equivalence.change_region(table):
         return DOMAIN_ERROR
     return 0

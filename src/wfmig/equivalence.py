@@ -9,7 +9,6 @@ initial marking).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .reachability import DEFAULT_MAX_STATES, build_reachability
 from .tts import tts_all
@@ -22,13 +21,6 @@ class MappingTable:
     region."""
 
     rows: tuple
-
-    @cached_property
-    def _by_key(self):
-        return dict(self.rows)
-
-    def equivalents(self, old_key):
-        return self._by_key[old_key]
 
 
 def purge(family, empty_labels):

@@ -1,14 +1,30 @@
 """Workflow-net core: net structure, markings, the token game, structural checks.
 
 A marking is a plain ``frozenset`` of place names; nets are 1-bounded so a
-place either holds a token or it does not.  All types are immutable after
-construction and every operation here is a pure function.
+place either holds a token or it does not.  Its one text form is its key,
+the comma-joined sorted place names (``marking_key``), printed in braces
+(``key_label``).  All types are immutable after construction and every
+operation here is a pure function.
 """
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import NetFormatError, NotEnabledError, UnsafeFiringError
+
+
+def _repeated(items):
+    return min(item for item, n in Counter(items).items() if n > 1)
+
+
+def marking_key(marking):
+    """Canonical node key for a marking (sorted, comma-joined place names)."""
+    return ",".join(sorted(marking))
+
+
+def key_label(key):
+    """Human-readable form of a node key, e.g. ``{p2,p6}``."""
+    return "{%s}" % key
 
 
 @dataclass(frozen=True)
@@ -46,18 +62,21 @@ class WFNet:
     The constructor enforces well-formedness (an initial marking of declared
     places, known arc endpoints, bipartite arcs, unique names that encode as
     UTF-8 and hold no ``,``, place names without leading or trailing
-    whitespace); workflow-net structure (unique source/sink, every node on a
-    source-to-sink path) is checked by :func:`validate_structural` and
-    reported, not raised.  Place names and transition labels share one
-    namespace, and one ``_pre`` and one ``_post`` map over it hold the
-    arcs: the nodes one arc before and one arc after each place or label.
+    whitespace, no arc and no initial place listed twice); workflow-net
+    structure (unique source/sink, every node on a source-to-sink path) is
+    checked by :func:`validate_structural` and reported, not raised.  Place
+    names and transition labels share one namespace, and one ``_pre`` and
+    one ``_post`` map over it hold the arcs: the nodes one arc before and
+    one arc after each place or label.
     """
 
     def __init__(self, places, transitions, arcs, initial_marking=None, name=""):
         self.name = name
+        places = list(places)
         self.places = frozenset(places)
         if initial_marking is not None:
-            initial_marking = frozenset(initial_marking)
+            initial_list = list(initial_marking)
+            initial_marking = frozenset(initial_list)
             unknown = initial_marking - self.places
             if unknown:
                 raise NetFormatError("initial marking names unknown place %r"
@@ -105,7 +124,8 @@ class WFNet:
         self.labels = frozenset(t.label for t in self.transitions)
         self.empty_labels = frozenset(t.label for t in self.transitions if t.is_empty)
 
-        self.arcs = frozenset(tuple(a) for a in arcs)
+        arcs = [tuple(a) for a in arcs]
+        self.arcs = frozenset(arcs)
         pre = {n: set() for n in self.places | self.labels}
         post = {n: set() for n in pre}
         for src, dst in sorted(self.arcs):
@@ -129,6 +149,16 @@ class WFNet:
         else:
             src = self.source_places()
             self.initial_marking = frozenset(src) if len(src) == 1 else frozenset()
+
+        # repeats are checked last, so every other error keeps its precedence
+        if len(self.arcs) < len(arcs):
+            raise NetFormatError("arc %r -> %r is listed twice (weighted arcs "
+                                 "are not supported)" % _repeated(arcs),
+                                 code="PARSE_ERROR")
+        if self.explicit_initial and len(initial_marking) < len(initial_list):
+            raise NetFormatError("initial marking lists place %r twice (nets "
+                                 "are 1-bounded)" % _repeated(initial_list),
+                                 code="PARSE_ERROR")
 
     def inputs(self, label):
         """Input places of a transition."""
@@ -175,14 +205,14 @@ def fire(net, marking, label):
     """
     ins = net.inputs(label)
     if not ins <= marking:
-        raise NotEnabledError("transition %r is not enabled in {%s}"
-                              % (label, ",".join(sorted(marking))))
+        raise NotEnabledError("transition %r is not enabled in %s"
+                              % (label, key_label(marking_key(marking))))
     outs = net.outputs(label)
     clash = outs & (marking - ins)
     if clash:
         raise UnsafeFiringError(
             "firing %r would put a second token in %s"
-            % (label, ",".join(sorted(clash))))
+            % (label, marking_key(clash)))
     return (marking - ins) | outs
 
 
@@ -235,6 +265,6 @@ def validate_structural(net):
         if net.explicit_initial and net.initial_marking != frozenset({source}):
             violations.append(Violation(
                 "BAD_INITIAL_MARKING",
-                "explicit initial marking differs from {%s}" % source,
-                ",".join(sorted(net.initial_marking))))
+                "explicit initial marking differs from %s" % key_label(source),
+                marking_key(net.initial_marking)))
     return ValidationReport(tuple(violations))

@@ -25,8 +25,7 @@ import io
 import json
 
 from .errors import NetFormatError
-from .net import Transition, WFNet
-from .reachability import key_label
+from .net import Transition, WFNet, key_label
 
 
 def _expect(cond, message):
@@ -139,7 +138,9 @@ def serialize_net(net):
 
 
 # ---------------------------------------------------------------------------
-# Mapping output
+# Mapping output: every emitter takes (old_net, new_net, table); table and
+# csv print the keys in ``table.rows`` as ``key_label`` forms, and only the
+# JSON document splits them into place lists.
 
 def mapping_document(old_net, new_net, table):
     """The mapping table as a plain dict (the JSON wire shape)."""
@@ -153,36 +154,28 @@ def mapping_document(old_net, new_net, table):
     return {"old_net": old_net.name, "new_net": new_net.name, "rows": rows}
 
 
-def emit_json(doc):
-    return json.dumps(doc, indent=2) + "\n"
+def emit_json(old_net, new_net, table):
+    return json.dumps(mapping_document(old_net, new_net, table),
+                      indent=2) + "\n"
 
 
-def _marking_str(places):
-    return key_label(",".join(places))
-
-
-def emit_csv(doc):
+def emit_csv(old_net, new_net, table):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["old_marking", "equivalents", "change_region"])
-    for row in doc["rows"]:
-        writer.writerow([
-            _marking_str(row["old_marking"]),
-            ";".join(_marking_str(eq) for eq in row["equivalents"]),
-            "true" if row["change_region"] else "false",
-        ])
+    for old_key, equivalents in table.rows:
+        writer.writerow([key_label(old_key),
+                         ";".join(map(key_label, equivalents)),
+                         "false" if equivalents else "true"])
     return out.getvalue()
 
 
-def emit_table(doc):
-    left = ["old marking"] + [_marking_str(r["old_marking"])
-                              for r in doc["rows"]]
-    width = max(len(s) for s in left)
-    lines = ["%-*s  %s" % (width, left[0], "new equivalent markings")]
-    for label, row in zip(left[1:], doc["rows"]):
-        if row["change_region"]:
-            right = "(change region)"
-        else:
-            right = ", ".join(_marking_str(eq) for eq in row["equivalents"])
-        lines.append("%-*s  %s" % (width, label, right))
+def emit_table(old_net, new_net, table):
+    width = max([len("old marking")]
+                + [len(key_label(key)) for key, _ in table.rows])
+    lines = ["%-*s  %s" % (width, "old marking", "new equivalent markings")]
+    for old_key, equivalents in table.rows:
+        right = (", ".join(map(key_label, equivalents)) if equivalents
+                 else "(change region)")
+        lines.append("%-*s  %s" % (width, key_label(old_key), right))
     return "\n".join(lines) + "\n"

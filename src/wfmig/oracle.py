@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import BoundTooSmallError
-from .net import Transition, WFNet
+from .net import Transition, WFNet, key_label
 
 
 def _components(graph):
@@ -41,10 +41,10 @@ def _components(graph):
         component[root] = root
         stack = [root]
         while stack:
-            for edge in back[stack.pop()]:
-                if edge.src not in component:
-                    component[edge.src] = root
-                    stack.append(edge.src)
+            for src in back[stack.pop()]:
+                if src not in component:
+                    component[src] = root
+                    stack.append(src)
     return component
 
 
@@ -111,8 +111,8 @@ def oracle_tts(graph, node, bound=None):
         bound = needed
     elif bound < needed:
         raise BoundTooSmallError(
-            "bound %d is below the sufficiency bound %d for node {%s}"
-            % (bound, needed, node))
+            "bound %d is below the sufficiency bound %d for node %s"
+            % (bound, needed, key_label(node)))
 
     found = set()
     best = {}  # (node, labelset) -> largest remaining budget seen

@@ -13,29 +13,18 @@ bit, in sorted place order, and each transition has a ``pre`` and a
 of the marked places, and the transitions with an empty preset, are tried
 at a marking.  The key string is built once per marking, when it is first
 found.  ``net.enabled`` and ``net.fire`` are the frozenset form of the same
-game; a firing that would break 1-boundedness is handed to ``fire``, which
-reports it.
+game, kept as the reference the kernel is tested against; a firing that
+would break 1-boundedness is reported here, with the same message.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import net as wfnet
-from .errors import StateLimitError, UnsafeFiringError, UnsafeNetError
-from .net import ValidationReport, Violation
+from .errors import StateLimitError, UnsafeNetError
+from .net import ValidationReport, Violation, _reach, key_label, marking_key
 
 DEFAULT_MAX_STATES = 100000
-
-
-def marking_key(marking):
-    """Canonical node key for a marking (sorted, comma-joined place names)."""
-    return ",".join(sorted(marking))
-
-
-def key_label(key):
-    """Human-readable form of a node key, e.g. ``{p2,p6}``."""
-    return "{%s}" % key
 
 
 class RGEdge(NamedTuple):
@@ -55,10 +44,10 @@ class ReachGraph:
     succ: dict = field(compare=False)      # key -> tuple of outgoing RGEdge
 
     def pred(self):
-        """Reverse adjacency, computed on demand."""
+        """Predecessor keys of each key, computed on demand."""
         back = {n: [] for n in self.nodes}
-        for e in self.edges:
-            back[e.dst].append(e)
+        for src, _, dst in self.edges:
+            back[dst].append(src)
         return back
 
 
@@ -114,12 +103,10 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
             if m & pre != pre:
                 continue
             rest = m ^ pre
-            if post & rest:  # a clash needs a marked place: ``key`` is not ""
-                try:
-                    wfnet.fire(net, frozenset(key.split(",")), label)  # raises
-                except UnsafeFiringError as exc:
-                    raise UnsafeNetError(
-                        "net is not 1-bounded: %s" % exc) from exc
+            if post & rest:  # name the clashing places as a key names them
+                raise UnsafeNetError("net is not 1-bounded: firing %r would "
+                                     "put a second token in %s"
+                                     % (label, discover(post & rest)[0]))
             nxt = rest | post
             nxt_key = key_of.get(nxt)
             if nxt_key is None:
@@ -156,17 +143,8 @@ def validate_behavioral(net, graph):
                 "DEAD_TRANSITION", "never enabled in any reachable marking",
                 t.label))
 
-    can_finish = set()
-    if graph.terminal is not None:
-        back = graph.pred()
-        can_finish.add(graph.terminal)
-        queue = deque([graph.terminal])
-        while queue:
-            key = queue.popleft()
-            for e in back[key]:
-                if e.src not in can_finish:
-                    can_finish.add(e.src)
-                    queue.append(e.src)
+    can_finish = (set() if graph.terminal is None
+                  else _reach({graph.terminal}, graph.pred()))
     for key in graph.nodes:
         if key not in can_finish:
             violations.append(Violation(
@@ -190,5 +168,5 @@ def to_dot(graph):
                   % (esc[src], esc[dst], esc[lab])
                   for key in order
                   for src, lab, dst in sorted(graph.succ[key])])
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)

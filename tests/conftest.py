@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from wfmig import Transition, WFNet, parse_net
+from wfmig import (Transition, WFNet, build_reachability, parse_net,
+                   purge)
+from wfmig.oracle import oracle_tts
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -52,6 +54,20 @@ def with_empty_transitions(net, seed, share=0.3):
                  [Transition(t.label, rng.random() < share)
                   for t in net.transitions],
                  net.arcs, net.initial_marking, name=net.name)
+
+
+def oracle_mapping(old_net, new_net):
+    """Brute-force ground truth for ``find_equivalence_mapping``: each old
+    marking against every new marking whose purged ``oracle_tts`` family
+    shares a member with its own."""
+    old_g = build_reachability(old_net)
+    new_g = build_reachability(new_net)
+    old_fams = {n: purge(oracle_tts(old_g, n), old_net.empty_labels)
+                for n in old_g.nodes}
+    new_fams = {n: purge(oracle_tts(new_g, n), new_net.empty_labels)
+                for n in new_g.nodes}
+    return {n: {m for m in new_g.nodes if new_fams[m] & old_fams[n]}
+            for n in old_g.nodes}
 
 
 def fixture_path(name):

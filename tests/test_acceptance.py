@@ -6,14 +6,15 @@ import time
 import pytest
 
 from wfmig import (build_reachability, change_region,
-                   find_equivalence_mapping, purge, tts_all, tts_for_node,
+                   find_equivalence_mapping, tts_all, tts_for_node,
                    validate_behavioral, validate_structural)
 from wfmig.cli import main
 from wfmig.oracle import GenParams, oracle_tts, random_wfnet
 from wfmig.tts import EdgeSet, attachable_cycles, find_cycles, \
     find_simple_paths
 
-from conftest import FIXTURE_NAMES, fixture_net, fixture_path as fx
+from conftest import (FIXTURE_NAMES, fixture_net, fixture_path as fx,
+                      oracle_mapping)
 
 
 class _Criterion:
@@ -147,17 +148,8 @@ def test_criterion_6_mapping_oracle_equivalence():
             new = random_wfnet(GenParams(seed=seed + 10000, max_places=6,
                                          max_transitions=7))
             table = find_equivalence_mapping(old, new)
-
-            old_g = build_reachability(old)
-            new_g = build_reachability(new)
-            old_fams = {n: purge(oracle_tts(old_g, n), old.empty_labels)
-                        for n in old_g.nodes}
-            new_fams = {n: purge(oracle_tts(new_g, n), new.empty_labels)
-                        for n in new_g.nodes}
-            expected = {n: {m for m in new_g.nodes
-                            if new_fams[m] & old_fams[n]}
-                        for n in old_g.nodes}
-            assert {k: set(eq) for k, eq in table.rows} == expected, seed
+            assert ({k: set(eq) for k, eq in table.rows}
+                    == oracle_mapping(old, new)), seed
 
 
 def test_criterion_7_validation_codes():

@@ -2,9 +2,10 @@ import pytest
 
 from wfmig import (WFNet, build_reachability, change_region,
                    find_equivalence_mapping, purge)
-from wfmig.oracle import GenParams, oracle_tts, random_wfnet
+from wfmig.oracle import GenParams, random_wfnet
 
-from conftest import fixture_net, par_redo_net, with_empty_transitions
+from conftest import (fixture_net, oracle_mapping, par_redo_net,
+                      with_empty_transitions)
 
 TABLE_1 = {
     "p1": {"p1", "p12,p2"},
@@ -74,9 +75,9 @@ def test_disjoint_labels_only_initials_match(sequence_net):
     other = WFNet(places=["q1", "q2"], transitions=["U0"],
                   arcs=[("q1", "U0"), ("U0", "q2")])
     table = find_equivalence_mapping(sequence_net, other)
-    assert table.equivalents("p1") == ("q1",)
-    assert table.equivalents("p2") == ()
-    assert table.equivalents("p3") == ()
+    assert dict(table.rows)["p1"] == ("q1",)
+    assert dict(table.rows)["p2"] == ()
+    assert dict(table.rows)["p3"] == ()
 
 
 def test_empty_after_purge_matches_initial():
@@ -90,19 +91,7 @@ def test_empty_after_purge_matches_initial():
     old = WFNet(places=["p1", "p2"], transitions=["T0"],
                 arcs=[("p1", "T0"), ("T0", "p2")])
     table = find_equivalence_mapping(old, new)
-    assert table.equivalents("p1") == ("q1", "q2")
-
-
-def _oracle_mapping(old_net, new_net):
-    """Claim-2 ground truth: intersect brute-force TTS families directly."""
-    old_g = build_reachability(old_net)
-    new_g = build_reachability(new_net)
-    old_fams = {n: purge(oracle_tts(old_g, n), old_net.empty_labels)
-                for n in old_g.nodes}
-    new_fams = {n: purge(oracle_tts(new_g, n), new_net.empty_labels)
-                for n in new_g.nodes}
-    return {n: {m for m in new_g.nodes if new_fams[m] & old_fams[n]}
-            for n in old_g.nodes}
+    assert dict(table.rows)["p1"] == ("q1", "q2")
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -113,7 +102,7 @@ def test_mapping_matches_oracle(seed):
     for pair in ((old, new), (with_empty_transitions(old, seed),
                               with_empty_transitions(new, seed + 1000))):
         table = find_equivalence_mapping(*pair)
-        expected = _oracle_mapping(*pair)
+        expected = oracle_mapping(*pair)
         assert {key: set(eq) for key, eq in table.rows} == expected
 
 
@@ -135,7 +124,7 @@ def test_initials_match_when_acyclic_and_no_empties():
     table = find_equivalence_mapping(a, b)
     ga = build_reachability(a)
     gb = build_reachability(b)
-    assert gb.initial in table.equivalents(ga.initial)
+    assert gb.initial in dict(table.rows)[ga.initial]
 
 
 def test_rows_are_sorted():

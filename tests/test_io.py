@@ -12,7 +12,7 @@ from wfmig import (GenParams, NetFormatError, Transition, WFNet,
 from wfmig import cli
 from wfmig.cli import main
 
-from conftest import (FIXTURE_NAMES, SURROGATE, fixture_net,
+from conftest import (FIXTURE_NAMES, GOLDEN, SURROGATE, fixture_net,
                       fixture_path as fx, long_sequence_net,
                       with_empty_transitions)
 
@@ -143,6 +143,13 @@ def test_arcs_name_transitions_by_id():
      ' "arcs": [["s", "\\udc80"], ["\\udc80", "e"]]}', "PARSE_ERROR"),
     # --marking strips each name, so " m" could be listed but not queried
     (SPACED, "PARSE_ERROR"),
+    # an arc listed twice is a weight of 2 spelled another way
+    ('{"places": ["s", "e"], "transitions": ["t"],'
+     ' "arcs": [["s", "t"], ["s", "t"], ["t", "e"]]}', "PARSE_ERROR"),
+    # two tokens in s are not 1-bounded
+    ('{"places": ["s", "e"], "transitions": ["t"],'
+     ' "arcs": [["s", "t"], ["t", "e"]], "initial_marking": ["s", "s"]}',
+     "PARSE_ERROR"),
 ])
 def test_parse_errors(text, code):
     with pytest.raises(NetFormatError) as err:
@@ -280,6 +287,14 @@ def test_cli_map_formats_agree(capsys):
         assert (csv_row[2] == "true") == row["change_region"]
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_cli_map_golden_bytes(capsys, fmt):
+    code, out, err = run_cli(capsys, "map", "--old", fx("fig8_old"),
+                             "--new", fx("fig8_new"), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / ("fig8_map.%s" % fmt)).read_text(encoding="utf-8")
+
+
 def test_cli_map_exit_codes(capsys):
     code, _, _ = run_cli(capsys, "map", "--old", fx("fig8_old"),
                          "--new", fx("fig8_new"))
@@ -379,6 +394,8 @@ BAD_INPUTS = {
                       b' "arcs": [["s", "m"], ["m", "B"], ["B", "e"]]}',
     "surrogate.json": SURROGATE.encode("ascii"),
     "spaced.json": SPACED.encode("ascii"),
+    "repeated-arc.json": b'{"places": ["s", "e"], "transitions": ["t"],'
+                         b' "arcs": [["s", "t"], ["s", "t"], ["t", "e"]]}',
 }
 
 
@@ -414,11 +431,14 @@ BAD_INPUTS = {
      "PARSE_ERROR: place name does not encode as UTF-8: '\\ud800'"),
     (("tts", "{tmp}/spaced.json", "--marking", " m"),
      "PARSE_ERROR: place name has leading or trailing whitespace: ' m'"),
+    (("map", "--old", fx("sequence"), "--new", "{tmp}/repeated-arc.json"),
+     "PARSE_ERROR: arc 's' -> 't' is listed twice (weighted arcs are not "
+     "supported)"),
 ], ids=["validate-max-states-0", "reach-max-states-negative",
         "tts-max-states-0", "map-max-states-0", "oracle-tts-max-states-0",
         "gen-net-max-places-1", "gen-net-max-transitions-0", "not-utf-8",
         "dot-unwritable", "deep-nesting", "id-is-a-place",
-        "lone-surrogate", "place-name-whitespace"])
+        "lone-surrogate", "place-name-whitespace", "repeated-arc"])
 def test_cli_bad_arguments_and_files_exit_2_with_a_coded_line(
         capsys, tmp_path, argv, err):
     """Each call returns exit 2 with one diagnostic line last on stderr and

@@ -132,6 +132,17 @@ def test_constructor_rejects_bad_arcs():
     assert err.value.code == "UNKNOWN_ENDPOINT"
 
 
+def test_constructor_reads_an_iterator_of_places_once():
+    arcs = [("s", "t"), ("t", "e"), ("a,b", "u"), ("u", "e")]
+    places = ["s", "a,b", "e", "e"]
+    with pytest.raises(NetFormatError) as from_list:
+        WFNet(places, ["t", "u"], arcs)
+    with pytest.raises(NetFormatError) as from_iter:
+        WFNet(iter(places), ["t", "u"], arcs)
+    assert from_iter.value.code == from_list.value.code == "PARSE_ERROR"
+    assert str(from_iter.value) == str(from_list.value)
+
+
 def test_empty_transitions_fire_like_ordinary_ones():
     net = WFNet(places=["p1", "p2"],
                 transitions=[Transition("e", is_empty=True)],
