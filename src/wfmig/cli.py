@@ -70,7 +70,7 @@ def cmd_reach(args):
     net = _load_net(args.net)
     _require_structural(net)
     graph = reachability.build_reachability(net, args.max_states)
-    if args.dot:
+    if args.dot is not None:
         try:
             with open(args.dot, "w", encoding="utf-8") as handle:
                 handle.write(reachability.to_dot(graph))
@@ -218,7 +218,7 @@ def build_parser():
     p = sub.add_parser("oracle-tts")
     p.add_argument("net")
     p.add_argument("--marking", required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_int_at_least(0), default=None)
     _add_max_states(p)
     p.set_defaults(func=cmd_oracle_tts)
 

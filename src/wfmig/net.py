@@ -59,10 +59,11 @@ class ValidationReport:
 class WFNet:
     """A workflow-net candidate: places, transitions, bipartite arcs.
 
-    The constructor enforces well-formedness (an initial marking of declared
-    places, known arc endpoints, bipartite arcs, unique names that encode as
-    UTF-8 and hold no ``,``, place names without leading or trailing
-    whitespace, no arc and no initial place listed twice); workflow-net
+    The constructor owns the name, arc and marking rules, each checked once
+    as its data is read: an initial marking of declared places listed once;
+    place names and labels that are non-empty, unique, hold no ``,`` and
+    encode as UTF-8, place names without leading or trailing whitespace;
+    arcs listed once, with known and bipartite endpoints.  Workflow-net
     structure (unique source/sink, every node on a source-to-sink path) is
     checked by :func:`validate_structural` and reported, not raised.  Place
     names and transition labels share one namespace, and one ``_pre`` and
@@ -74,58 +75,58 @@ class WFNet:
         self.name = name
         places = list(places)
         self.places = frozenset(places)
-        if initial_marking is not None:
+        self.explicit_initial = initial_marking is not None
+        if self.explicit_initial:
             initial_list = list(initial_marking)
             initial_marking = frozenset(initial_list)
             unknown = initial_marking - self.places
             if unknown:
                 raise NetFormatError("initial marking names unknown place %r"
                                      % min(unknown), code="UNKNOWN_ENDPOINT")
+            if len(initial_marking) < len(initial_list):
+                raise NetFormatError("initial marking lists place %r twice "
+                                     "(nets are 1-bounded)"
+                                     % _repeated(initial_list),
+                                     code="PARSE_ERROR")
         trans = []
         for t in transitions:
             trans.append(t if isinstance(t, Transition) else Transition(str(t)))
         self.transitions = tuple(sorted(trans, key=lambda t: t.label))
 
         seen = set()
-        for p in places:
-            if not p:
-                raise NetFormatError("empty place name", code="PARSE_ERROR")
-            if "," in p:
-                # marking keys and --marking arguments are comma-joined
-                raise NetFormatError("place name contains ',': %r" % p,
+        for kind, n in ([("place name", p) for p in places]
+                        + [("transition label", t.label)
+                           for t in self.transitions]):
+            is_place = kind == "place name"
+            if not n:
+                raise NetFormatError("empty " + kind, code="PARSE_ERROR")
+            if "," in n:
+                # marking keys, --marking and tts lines are comma-joined
+                raise NetFormatError("%s contains ',': %r" % (kind, n),
                                      code="PARSE_ERROR")
-            if p != p.strip():
+            if is_place and n != n.strip():
                 # --marking arguments are stripped name by name
                 raise NetFormatError("place name has leading or trailing "
-                                     "whitespace: %r" % p, code="PARSE_ERROR")
-            if p.encode("utf-8", "replace").decode("utf-8") != p:
+                                     "whitespace: %r" % n, code="PARSE_ERROR")
+            if n.encode("utf-8", "replace").decode("utf-8") != n:
                 # a lone surrogate cannot be printed
-                raise NetFormatError("place name does not encode as UTF-8: "
-                                     "%r" % p, code="PARSE_ERROR")
-            if p in seen:
-                raise NetFormatError("duplicate place name: %r" % p,
+                raise NetFormatError("%s does not encode as UTF-8: %r"
+                                     % (kind, n), code="PARSE_ERROR")
+            if n in seen:
+                raise NetFormatError("duplicate %s: %r"
+                                     % (kind if is_place else "name", n),
                                      code="DUPLICATE_NAME")
-            seen.add(p)
-        for t in self.transitions:
-            if not t.label:
-                raise NetFormatError("empty transition label", code="PARSE_ERROR")
-            if "," in t.label:
-                # tts lines comma-join labels
-                raise NetFormatError("transition label contains ',': %r"
-                                     % t.label, code="PARSE_ERROR")
-            if t.label.encode("utf-8", "replace").decode("utf-8") != t.label:
-                raise NetFormatError("transition label does not encode as "
-                                     "UTF-8: %r" % t.label, code="PARSE_ERROR")
-            if t.label in seen:
-                raise NetFormatError("duplicate name: %r" % t.label,
-                                     code="DUPLICATE_NAME")
-            seen.add(t.label)
+            seen.add(n)
 
         self.labels = frozenset(t.label for t in self.transitions)
         self.empty_labels = frozenset(t.label for t in self.transitions if t.is_empty)
 
         arcs = [tuple(a) for a in arcs]
         self.arcs = frozenset(arcs)
+        if len(self.arcs) < len(arcs):
+            raise NetFormatError("arc %r -> %r is listed twice (weighted arcs "
+                                 "are not supported)" % _repeated(arcs),
+                                 code="PARSE_ERROR")
         pre = {n: set() for n in self.places | self.labels}
         post = {n: set() for n in pre}
         for src, dst in sorted(self.arcs):
@@ -143,22 +144,10 @@ class WFNet:
         self._pre = {n: frozenset(s) for n, s in pre.items()}
         self._post = {n: frozenset(s) for n, s in post.items()}
 
-        self.explicit_initial = initial_marking is not None
-        if initial_marking is not None:
-            self.initial_marking = initial_marking
-        else:
+        if not self.explicit_initial:
             src = self.source_places()
-            self.initial_marking = frozenset(src) if len(src) == 1 else frozenset()
-
-        # repeats are checked last, so every other error keeps its precedence
-        if len(self.arcs) < len(arcs):
-            raise NetFormatError("arc %r -> %r is listed twice (weighted arcs "
-                                 "are not supported)" % _repeated(arcs),
-                                 code="PARSE_ERROR")
-        if self.explicit_initial and len(initial_marking) < len(initial_list):
-            raise NetFormatError("initial marking lists place %r twice (nets "
-                                 "are 1-bounded)" % _repeated(initial_list),
-                                 code="PARSE_ERROR")
+            initial_marking = frozenset(src) if len(src) == 1 else frozenset()
+        self.initial_marking = initial_marking
 
     def inputs(self, label):
         """Input places of a transition."""

@@ -34,10 +34,12 @@ def _expect(cond, message):
 
 
 def parse_net(text):
-    """Parse a net document and build the net (well-formedness enforced,
-    workflow-structure validation left to the caller).  Arcs name a
-    transition by its id, never by a label that is not also its id; the
-    id is resolved to the label."""
+    """Parse a net document and build the net; workflow-structure
+    validation is left to the caller.  This reads the document's shape and
+    resolves each arc endpoint once, a place to itself and a transition id
+    (never a label that is not also an id) to its label; ``WFNet`` checks
+    the name, arc and marking rules.  When a document has several faults,
+    which one is reported is not specified, but it is deterministic."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -60,8 +62,11 @@ def parse_net(text):
     _expect(all(isinstance(p, str) and p for p in places),
             "place names must be non-empty strings")
 
+    # arcs name places and transition ids alike: each endpoint maps to the
+    # node it names, a place to itself and an id to its label
+    node_of = dict(zip(places, places))
+    ids = set()
     transitions = []
-    label_of = {}
     for entry in raw["transitions"]:
         if isinstance(entry, str):
             tid = label = entry
@@ -76,13 +81,18 @@ def parse_net(text):
             empty = entry.get("empty", False)
         _expect(isinstance(tid, str) and tid,
                 "transition id must be a non-empty string")
-        if tid in label_of:
+        if tid in ids:
             raise NetFormatError("duplicate transition id %r" % tid,
                                  code="DUPLICATE_NAME")
+        # an id equal to its label is checked by WFNet with the other labels
+        if tid != label and tid in node_of:
+            raise NetFormatError("transition id %r is also a place name"
+                                 % tid, code="DUPLICATE_NAME")
         _expect(isinstance(label, str) and label,
                 "transition label must be a non-empty string")
         _expect(isinstance(empty, bool), "'empty' must be a boolean")
-        label_of[tid] = label
+        ids.add(tid)
+        node_of[tid] = label
         transitions.append(Transition(label, empty))
 
     arcs = []
@@ -91,8 +101,12 @@ def parse_net(text):
                 and isinstance(arc[0], str) and isinstance(arc[1], str),
                 "arcs must be [from, to] name pairs (weighted arcs are not "
                 "supported)")
-        a, b = arc
-        arcs.append((label_of.get(a, a), label_of.get(b, b)))
+        for end in arc:
+            if end not in node_of:
+                raise NetFormatError("arc endpoint %r is not a declared place "
+                                     "or transition" % end,
+                                     code="UNKNOWN_ENDPOINT")
+        arcs.append((node_of[arc[0]], node_of[arc[1]]))
 
     initial = raw.get("initial_marking")
     if initial is not None:
@@ -102,23 +116,7 @@ def parse_net(text):
 
     name = raw.get("name", "")
     _expect(isinstance(name, str), "'name' must be a string")
-
-    # arcs name places and transition ids alike, so an id must not be a
-    # place name; an id equal to its label is checked by WFNet with the
-    # other labels
-    declared = set(places)
-    for tid, label in label_of.items():
-        if tid != label and tid in declared:
-            raise NetFormatError("transition id %r is also a place name"
-                                 % tid, code="DUPLICATE_NAME")
-    net = WFNet(places, transitions, arcs, initial_marking=initial, name=name)
-    # an endpoint WFNet accepted that is no place and no id is a label; it
-    # is checked last, so every error WFNet reports keeps its precedence
-    for end in (e for arc in raw["arcs"] for e in arc):
-        if end not in label_of and end not in declared:
-            raise NetFormatError("arc endpoint %r is not a declared place or "
-                                 "transition" % end, code="UNKNOWN_ENDPOINT")
-    return net
+    return WFNet(places, transitions, arcs, initial_marking=initial, name=name)
 
 
 def serialize_net(net):

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wfmig import (WFNet, build_reachability, change_region,
+from wfmig import (Transition, WFNet, build_reachability, change_region,
                    find_equivalence_mapping, purge)
 from wfmig.oracle import GenParams, random_wfnet
 
@@ -83,7 +84,6 @@ def test_disjoint_labels_only_initials_match(sequence_net):
 def test_empty_after_purge_matches_initial():
     # a marking reached only through an empty helper is equivalent to
     # markings with the empty trace
-    from wfmig import Transition
     new = WFNet(places=["q1", "q2", "q3"],
                 transitions=[Transition("e", is_empty=True),
                              Transition("T0")],
@@ -134,3 +134,41 @@ def test_rows_are_sorted():
     assert keys == sorted(keys)
     for _, eq in table.rows:
         assert list(eq) == sorted(eq)
+
+
+# Label names that can collide with the generator's own labels (T0, T1, ...)
+# and hold spaces and non-ASCII characters, never ','.
+LABELS = st.text(alphabet="T01 \xe9\u4e2d", min_size=1, max_size=3)
+
+
+def _rename_labels(net, to):
+    rename = {label: to[label] for label in net.labels}
+    return WFNet(net.places,
+                 [Transition(rename[t.label], t.is_empty)
+                  for t in net.transitions],
+                 [(rename.get(a, a), rename.get(b, b)) for a, b in net.arcs],
+                 net.initial_marking, name=net.name)
+
+
+@st.composite
+def relabeled_pairs(draw):
+    """A generator pair with about 30% empty transitions, and the same pair
+    with one injective renaming of the labels of both nets."""
+    seeds = draw(st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=2))
+    pair = [with_empty_transitions(random_wfnet(GenParams(seed=seed)), seed)
+            for seed in seeds]
+    labels = sorted(pair[0].labels | pair[1].labels)
+    places = pair[0].places | pair[1].places
+    names = draw(st.lists(LABELS.filter(lambda n: n not in places),
+                          min_size=len(labels), max_size=len(labels),
+                          unique=True))
+    to = dict(zip(labels, names))
+    return pair, [_rename_labels(net, to) for net in pair]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(relabeled_pairs())
+def test_renaming_labels_in_both_nets_leaves_the_table_unchanged(pairs):
+    (old, new), (renamed_old, renamed_new) = pairs
+    assert (find_equivalence_mapping(renamed_old, renamed_new)
+            == find_equivalence_mapping(old, new))

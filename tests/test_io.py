@@ -105,56 +105,83 @@ def test_arcs_name_transitions_by_id():
     assert not net.explicit_initial
 
 
-@pytest.mark.parametrize("text,code", [
-    ("{not json", "PARSE_ERROR"),
+PARSE_ERRORS = [
+    ("{not json", "PARSE_ERROR: line 1 column 2: Expecting property name "
+                  "enclosed in double quotes"),
     ('{"places": ["a"], "transitions": [], "arcs": [], "extra": 1}',
-     "PARSE_ERROR"),
+     "PARSE_ERROR: unknown keys: extra"),
     ('{"places": ["a", "b"], "transitions": [], "arcs": [["a", "b"]]}',
-     "NON_BIPARTITE_ARC"),
+     "NON_BIPARTITE_ARC: arc 'a' -> 'b' does not connect a place with a "
+     "transition"),
     ('{"places": ["a"], "transitions": ["t"], "arcs": [["a", "x"]]}',
-     "UNKNOWN_ENDPOINT"),
+     "UNKNOWN_ENDPOINT: arc endpoint 'x' is not a declared place or "
+     "transition"),
     ('{"places": ["a", "a"], "transitions": [], "arcs": []}',
-     "DUPLICATE_NAME"),
+     "DUPLICATE_NAME: duplicate place name: 'a'"),
     ('{"places": ["a"], "transitions": ["t", "t"], "arcs": []}',
-     "DUPLICATE_NAME"),
+     "DUPLICATE_NAME: duplicate transition id 't'"),
     ('{"places": ["a", "b"], "transitions": ["t"],'
-     ' "arcs": [["a", "t", 2]]}', "PARSE_ERROR"),  # weighted arc
+     ' "arcs": [["a", "t", 2]]}',  # weighted arc
+     "PARSE_ERROR: arcs must be [from, to] name pairs (weighted arcs are "
+     "not supported)"),
     ('{"places": ["a"], "transitions": ["t"], "arcs": [],'
-     ' "initial_marking": ["zzz"]}', "UNKNOWN_ENDPOINT"),
+     ' "initial_marking": ["zzz"]}',
+     "UNKNOWN_ENDPOINT: initial marking names unknown place 'zzz'"),
     # a comma in a place name would collide with the marking key {a,b}
     ('{"places": ["s", "a,b", "a", "b", "e"],'
      ' "transitions": ["T0", "T1", "T2"],'
      ' "arcs": [["s", "T0"], ["T0", "a,b"], ["a,b", "T1"], ["T1", "a"],'
-     ' ["T1", "b"], ["a", "T2"], ["b", "T2"], ["T2", "e"]]}', "PARSE_ERROR"),
+     ' ["T1", "b"], ["a", "T2"], ["b", "T2"], ["T2", "e"]]}',
+     "PARSE_ERROR: place name contains ',': 'a,b'"),
     # a comma in a label would print the TTS {"x,y"} the same as {x, y}
     ('{"places": ["s", "m", "e"], "transitions": ["x,y", "x", "y"],'
      ' "arcs": [["s", "x,y"], ["x,y", "e"], ["s", "x"], ["x", "m"],'
-     ' ["m", "y"], ["y", "e"]]}', "PARSE_ERROR"),
+     ' ["m", "y"], ["y", "e"]]}',
+     "PARSE_ERROR: transition label contains ',': 'x,y'"),
     # arcs name ids and places alike: m -> B would silently become A -> B
     ('{"places": ["s", "m", "e"],'
      ' "transitions": [{"id": "m", "label": "A"}, "B"],'
-     ' "arcs": [["s", "m"], ["m", "B"], ["B", "e"]]}', "DUPLICATE_NAME"),
+     ' "arcs": [["s", "m"], ["m", "B"], ["B", "e"]]}',
+     "DUPLICATE_NAME: transition id 'm' is also a place name"),
     # arcs name transition ids: the label A is not an endpoint
     ('{"places": ["s", "e"], "transitions": [{"id": "t1", "label": "A"}],'
-     ' "arcs": [["s", "A"], ["A", "e"]]}', "UNKNOWN_ENDPOINT"),
+     ' "arcs": [["s", "A"], ["A", "e"]]}',
+     "UNKNOWN_ENDPOINT: arc endpoint 'A' is not a declared place or "
+     "transition"),
+    # ... also when the arc it would name is listed by id as well
+    ('{"places": ["s", "e"], "transitions": [{"id": "t1", "label": "A"}],'
+     ' "arcs": [["s", "t1"], ["s", "A"], ["t1", "e"]]}',
+     "UNKNOWN_ENDPOINT: arc endpoint 'A' is not a declared place or "
+     "transition"),
     # a lone surrogate cannot be printed, in a place name or a label
-    (SURROGATE, "PARSE_ERROR"),
+    (SURROGATE, "PARSE_ERROR: place name does not encode as UTF-8: "
+                "'\\ud800'"),
     ('{"places": ["s", "e"], "transitions": ["\\udc80"],'
-     ' "arcs": [["s", "\\udc80"], ["\\udc80", "e"]]}', "PARSE_ERROR"),
+     ' "arcs": [["s", "\\udc80"], ["\\udc80", "e"]]}',
+     "PARSE_ERROR: transition label does not encode as UTF-8: '\\udc80'"),
     # --marking strips each name, so " m" could be listed but not queried
-    (SPACED, "PARSE_ERROR"),
+    (SPACED, "PARSE_ERROR: place name has leading or trailing whitespace: "
+             "' m'"),
     # an arc listed twice is a weight of 2 spelled another way
     ('{"places": ["s", "e"], "transitions": ["t"],'
-     ' "arcs": [["s", "t"], ["s", "t"], ["t", "e"]]}', "PARSE_ERROR"),
+     ' "arcs": [["s", "t"], ["s", "t"], ["t", "e"]]}',
+     "PARSE_ERROR: arc 's' -> 't' is listed twice (weighted arcs are not "
+     "supported)"),
     # two tokens in s are not 1-bounded
     ('{"places": ["s", "e"], "transitions": ["t"],'
      ' "arcs": [["s", "t"], ["t", "e"]], "initial_marking": ["s", "s"]}',
-     "PARSE_ERROR"),
-])
-def test_parse_errors(text, code):
+     "PARSE_ERROR: initial marking lists place 's' twice (nets are "
+     "1-bounded)"),
+]
+
+
+@pytest.mark.parametrize("text,error", PARSE_ERRORS, ids=[
+    "%s-%s" % (text, error.split(":")[0]) for text, error in PARSE_ERRORS])
+def test_parse_errors(text, error):
+    """Each document has one fault, reported with its code and message."""
     with pytest.raises(NetFormatError) as err:
         parse_net(text)
-    assert err.value.code == code
+    assert "%s: %s" % (err.value.code, err.value) == error
 
 
 def test_parse_error_reports_position():
@@ -434,11 +461,17 @@ BAD_INPUTS = {
     (("map", "--old", fx("sequence"), "--new", "{tmp}/repeated-arc.json"),
      "PARSE_ERROR: arc 's' -> 't' is listed twice (weighted arcs are not "
      "supported)"),
+    # an unset shell variable: an empty path is a path, not "no --dot"
+    (("reach", fx("fig4"), "--dot", ""),
+     "WRITE_ERROR: cannot write : No such file or directory"),
+    (("oracle-tts", fx("fig4"), "--marking", "P1", "--bound", "-3"),
+     "wfmig oracle-tts: error: argument --bound: must be at least 0: '-3'"),
 ], ids=["validate-max-states-0", "reach-max-states-negative",
         "tts-max-states-0", "map-max-states-0", "oracle-tts-max-states-0",
         "gen-net-max-places-1", "gen-net-max-transitions-0", "not-utf-8",
         "dot-unwritable", "deep-nesting", "id-is-a-place",
-        "lone-surrogate", "place-name-whitespace", "repeated-arc"])
+        "lone-surrogate", "place-name-whitespace", "repeated-arc",
+        "dot-empty-path", "oracle-tts-bound-negative"])
 def test_cli_bad_arguments_and_files_exit_2_with_a_coded_line(
         capsys, tmp_path, argv, err):
     """Each call returns exit 2 with one diagnostic line last on stderr and
