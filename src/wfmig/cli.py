@@ -80,23 +80,25 @@ def cmd_reach(args):
                                  code="WRITE_ERROR") from exc
     print("nodes: %d" % len(graph.nodes))
     print("edges: %d" % len(graph.edges))
-    print("initial: %s" % key_label(graph.initial))
-    print("terminal: %s" % (key_label(graph.terminal)
+    print("initial: %s" % key_label(graph.key(graph.initial)))
+    print("terminal: %s" % (key_label(graph.key(graph.terminal))
                             if graph.terminal is not None else "-"))
     return 0
 
 
 def _reachable_marking(args):
-    """The net, its reachability graph and the key of ``--marking``, which
-    must be reachable."""
+    """The net, its reachability graph and the node id of ``--marking``,
+    which must be reachable."""
     net = _load_net(args.net)
     _require_structural(net)
     graph = reachability.build_reachability(net, args.max_states)
-    key = marking_key(_parse_marking(args.marking))
-    if key not in graph.succ:
-        raise WfmigError("marking %s is not reachable" % key_label(key),
+    marking = _parse_marking(args.marking)
+    node = graph.find(marking)
+    if node is None:
+        raise WfmigError("marking %s is not reachable"
+                         % key_label(marking_key(marking)),
                          code="UNREACHABLE_MARKING")
-    return net, graph, key
+    return net, graph, node
 
 
 def _print_family(family):
@@ -105,9 +107,9 @@ def _print_family(family):
 
 
 def cmd_tts(args):
-    net, graph, key = _reachable_marking(args)
+    net, graph, node = _reachable_marking(args)
     ignore = frozenset() if args.keep_empty else net.empty_labels
-    _print_family(tts.tts_all(graph, ignore)[key])
+    _print_family(tts.tts_all(graph, ignore)[node])
     return 0
 
 
@@ -137,8 +139,9 @@ def cmd_gen_net(args):
 
 
 def cmd_oracle_tts(args):
-    _, graph, key = _reachable_marking(args)
-    _print_family(oracle.oracle_tts(graph, key, args.bound))
+    _, graph, node = _reachable_marking(args)
+    graph = reachability.keyed(graph)     # the oracle reads the key form
+    _print_family(oracle.oracle_tts(graph, graph.nodes[node], args.bound))
     return 0
 
 
@@ -154,6 +157,22 @@ def _int_at_least(low):
         if value < low:
             raise argparse.ArgumentTypeError("must be at least %d: %r"
                                              % (low, text))
+        return value
+    return parse
+
+
+def _float_in(low, high):
+    """An argparse type: a float from ``low`` to ``high``, so a value out of
+    range, ``nan`` and ``inf`` are usage errors like a bad int."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid float value: %r"
+                                             % text) from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError("must be in [%g, %g]: %r"
+                                             % (low, high, text))
         return value
     return parse
 
@@ -211,8 +230,9 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-places", type=_int_at_least(2), default=8)
     p.add_argument("--max-transitions", type=_int_at_least(1), default=10)
-    p.add_argument("--loop-probability", type=float, default=0.2)
-    p.add_argument("--parallel-probability", type=float, default=0.3)
+    p.add_argument("--loop-probability", type=_float_in(0, 1), default=0.2)
+    p.add_argument("--parallel-probability", type=_float_in(0, 1),
+                   default=0.3)
     p.set_defaults(func=cmd_gen_net)
 
     p = sub.add_parser("oracle-tts")

@@ -33,20 +33,31 @@ def purge(family, empty_labels):
 
 def find_equivalence_mapping(old_net, new_net, max_states=DEFAULT_MAX_STATES):
     """Build both reachability graphs and their purged TTS families, index
-    the new markings by the purged TTSs they hold, and list for every old
-    marking all new markings sharing at least one purged TTS."""
+    the new marking ids by the purged TTSs they hold, and list for every
+    old marking all new markings sharing at least one purged TTS; node ids
+    become keys only here, in the rows."""
     old_graph = build_reachability(old_net, max_states)
     new_graph = build_reachability(new_net, max_states)
 
     holders = {}
-    for new_key, family in tts_all(new_graph, new_net.empty_labels).items():
+    for node, family in tts_all(new_graph, new_net.empty_labels).items():
         for member in family:
-            holders.setdefault(member, set()).add(new_key)
+            holders.setdefault(member, set()).add(node)
 
     old_fams = tts_all(old_graph, old_net.empty_labels)
-    return MappingTable(tuple(
-        (key, tuple(sorted(set().union(*(holders.get(m, ()) for m in fam)))))
-        for key, fam in sorted(old_fams.items())))
+    old_keys, new_keys = old_graph.keys(), new_graph.keys()
+    rows = []
+    for node, family in old_fams.items():
+        # not set().union(*generator): CPython turns the generator into a
+        # tuple of guessed size and resizes it, and the resized tuples pile
+        # up in its tuple free lists, which only a full collection empties
+        matches = set()
+        for member in family:
+            matches.update(holders.get(member, ()))
+        rows.append((old_keys[node],
+                     tuple(sorted(new_keys[match] for match in matches))))
+    rows.sort()
+    return MappingTable(tuple(rows))
 
 
 def change_region(table):

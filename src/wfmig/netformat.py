@@ -152,9 +152,38 @@ def mapping_document(old_net, new_net, table):
     return {"old_net": old_net.name, "new_net": new_net.name, "rows": rows}
 
 
+def _json_places(key, indent):
+    """``key.split(",")`` as ``json.dumps(..., indent=2)`` writes it with
+    its closing bracket at ``indent`` spaces.  Place names hold no ``,``
+    and no JSON escape holds one, so the key is quoted once and split."""
+    if not key:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return '[%s"%s"\n%s]' % (pad, json.dumps(key)[1:-1].replace(
+        ",", '",%s"' % pad), " " * indent)
+
+
 def emit_json(old_net, new_net, table):
-    return json.dumps(mapping_document(old_net, new_net, table),
-                      indent=2) + "\n"
+    """``json.dumps(mapping_document(...), indent=2) + "\\n"``, byte for
+    byte, written for this one document shape; with ``indent`` set,
+    ``json.dumps`` takes its pure-Python encoder, and here only the leaf
+    strings go through ``json.dumps``, which quotes them in C."""
+    out = ['{\n  "old_net": %s,\n  "new_net": %s,\n  "rows": '
+           % (json.dumps(old_net.name), json.dumps(new_net.name))]
+    for old_key, equivalents in table.rows:
+        if equivalents:
+            right = "[\n        %s\n      ]" % ",\n        ".join(
+                [_json_places(key, 8) for key in equivalents])
+        else:
+            right = "[]"
+        out.append('%s\n    {\n      "old_marking": %s,\n'
+                   '      "equivalents": %s,\n'
+                   '      "change_region": %s\n    }'
+                   % ("," if len(out) > 1 else "[",
+                      _json_places(old_key, 6), right,
+                      "false" if equivalents else "true"))
+    out.append("\n  ]\n}\n" if table.rows else "[]\n}\n")
+    return "".join(out)
 
 
 def emit_csv(old_net, new_net, table):

@@ -1,53 +1,107 @@
 """Reachability graph of a 1-bounded workflow net, plus behavioral checks.
 
-A node's key is its marking: the comma-joined sorted list of marked place
-names (names cannot contain ``,``), and the graph keeps no other form of it.
-An edge is a plain ``(src, label, dst)`` triple.  Construction is
-breadth-first with successors expanded in sorted transition-label order, so
-equal nets always produce identical graphs.
+The graph is held as ints (``ReachGraph``): a marking is a bitmask, one bit
+per place in sorted place order, its node id is its rank in breadth-first
+discovery order, and the edges are in CSR form (compressed sparse row).
+Successors are expanded in sorted label order and a transition gives at
+most one edge per source, so each source's edges come out in strictly
+increasing label order and equal nets always produce identical graphs.
 
-The breadth-first search plays the token game on ints: each place is one
-bit, in sorted place order, and each transition has a ``pre`` and a
-``post`` mask.  A transition is enabled at marking ``m`` when
-``m & pre == pre`` and leads to ``(m & ~pre) | post``.  Only the consumers
-of the marked places, and the transitions with an empty preset, are tried
-at a marking.  The key string is built once per marking, when it is first
-found.  ``net.enabled`` and ``net.fire`` are the frozenset form of the same
-game, kept as the reference the kernel is tested against; a firing that
-would break 1-boundedness is reported here, with the same message.
+A node's key (``marking_key``: its places, comma-joined; names cannot
+contain ``,``) is its only text form, built on demand where output or a
+``--marking`` lookup needs it.  ``keyed`` gives the whole graph in key
+form, with ``RGEdge`` triples, for the reference code (the paper's
+fixpoint, the oracle) and the tests.
+
+The breadth-first search plays the token game on ints: each transition has
+a ``pre`` and a ``post`` mask, is enabled at marking ``m`` when
+``m & pre == pre`` and leads to ``(m & ~pre) | post``.  Each transition with
+a non-empty preset belongs to the lowest place of its preset, since it can
+only be enabled where that place is marked; a marking's candidates are the
+transitions of its marked places plus those with an empty preset.
+``net.enabled`` and ``net.fire`` are the frozenset form of the same game,
+kept as the reference the kernel is tested against; a firing that would
+break 1-boundedness is reported here, with the same message.
 """
 
-from collections import deque
-from dataclasses import dataclass, field
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .errors import StateLimitError, UnsafeNetError
-from .net import ValidationReport, Violation, _reach, key_label, marking_key
+from .net import ValidationReport, Violation, _reach, key_label
 
 DEFAULT_MAX_STATES = 100000
 
 
-class RGEdge(NamedTuple):
-    """One labeled marking transition; identity and order are the triple's."""
+def _key(places, mask):
+    """The key of a marking mask: its places, in bit (= sorted) order."""
+    names = []
+    while mask:
+        low = mask & -mask
+        names.append(places[low.bit_length() - 1])
+        mask ^= low
+    return ",".join(names)
 
-    src: str
-    label: str
-    dst: str
 
-
-@dataclass(frozen=True)
 class ReachGraph:
-    nodes: tuple            # node keys in first-discovered order
-    edges: tuple            # RGEdge in discovery order
-    initial: str
-    terminal: str           # key of the {sink} marking, or None
-    succ: dict = field(compare=False)      # key -> tuple of outgoing RGEdge
+    """Reachability graph over int node ids.
+
+    ``places`` and ``labels`` are sorted; ``masks[i]`` is node ``i``'s
+    marking and ``index`` maps a mask back to its id.  The out-edges of
+    node ``i`` are ``off[i]`` to ``off[i + 1]``; edge ``e`` fires
+    ``labels[lab[e]]`` to node ``dst[e]``.  ``initial`` is 0 and
+    ``terminal`` is the id of the {sink} marking, or None.  ``nodes`` and
+    ``edges`` are the ranges of node and edge ids."""
+
+    def __init__(self, places, labels, masks, index, off, lab, dst,
+                 terminal):
+        self.places = places
+        self.labels = labels
+        self.masks = masks
+        self.index = index
+        self.off = off
+        self.lab = lab
+        self.dst = dst
+        self.initial = 0
+        self.terminal = terminal
+        self._keys = None
+
+    @property
+    def nodes(self):
+        return range(len(self.masks))
+
+    @property
+    def edges(self):
+        return range(len(self.dst))
+
+    def key(self, node):
+        """Key of one node, without building the others."""
+        return _key(self.places, self.masks[node])
+
+    def keys(self):
+        """Key of every node, by id; built on the first call only."""
+        if self._keys is None:
+            self._keys = [_key(self.places, m) for m in self.masks]
+        return self._keys
+
+    def find(self, marking):
+        """Id of a marking given as place names, or None if it is not
+        reachable (a place the net lacks included)."""
+        mask = 0
+        for p in marking:
+            i = bisect_left(self.places, p)
+            if i == len(self.places) or self.places[i] != p:
+                return None
+            mask |= 1 << i
+        return self.index.get(mask)
 
     def pred(self):
-        """Predecessor keys of each key, computed on demand."""
-        back = {n: [] for n in self.nodes}
-        for src, _, dst in self.edges:
-            back[dst].append(src)
+        """Predecessor ids of each id, computed on demand."""
+        back = [[] for _ in self.masks]
+        off, dst = self.off, self.dst
+        for node in self.nodes:
+            for d in dst[off[node]:off[node + 1]]:
+                back[d].append(node)
         return back
 
 
@@ -59,73 +113,104 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
     """
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
-    bit, place_of, consumers = {}, {}, {}
-    for i, p in enumerate(sorted(net.places)):
-        bit[p] = 1 << i
-        place_of[1 << i] = p
-        consumers[1 << i] = []
-    free = []       # empty preset: enabled at every marking
-    trans = []      # (label, pre, post) in sorted label order
-    for i, t in enumerate(net.transitions):
+    places = tuple(sorted(net.places))
+    bit = {p: 1 << i for i, p in enumerate(places)}
+    labels = [t.label for t in net.transitions]
+    pres, posts = [], []
+    free = []                                   # empty preset
+    owned = {}                                  # lowest input bit -> ts
+    for t, label in enumerate(labels):
         pre = post = 0
-        for p in net.inputs(t.label):
+        for p in net.inputs(label):
             pre |= bit[p]
-            consumers[bit[p]].append(i)
-        for p in net.outputs(t.label):
+        for p in net.outputs(label):
             post |= bit[p]
-        trans.append((t.label, pre, post))
-        if not pre:
-            free.append(i)
-
-    def discover(m):
-        """Key of a new marking and its candidate transitions in sorted
-        label order.  Bits are in place order, so the places come out
-        sorted and their join is ``marking_key``."""
-        places, cands = [], set(free)
-        while m:
-            low = m & -m
-            places.append(place_of[low])
-            cands.update(consumers[low])
-            m ^= low
-        return ",".join(places), [trans[i] for i in sorted(cands)]
+        pres.append(pre)
+        posts.append(post)
+        if pre:
+            owned.setdefault(pre & -pre, []).append(t)
+        else:
+            free.append(t)
 
     m0 = sum(bit[p] for p in net.initial_marking)
-    init_key, cands = discover(m0)
-    key_of = {m0: init_key}
-    order = [init_key]
-    edges = []
-    succ = {}
-    queue = deque([(m0, init_key, cands)])
-    while queue:
-        m, key, cands = queue.popleft()
-        out = []
-        for label, pre, post in cands:
+    masks, index = [m0], {m0: 0}
+    off, lab, dst = [0], [], []
+    for m in masks:     # the list grows as markings are found: a BFS queue
+        cands = free.copy()
+        rest = m
+        while rest:
+            low = rest & -rest
+            cands += owned.get(low, ())
+            rest ^= low
+        cands.sort()
+        for t in cands:
+            pre = pres[t]
             if m & pre != pre:
                 continue
             rest = m ^ pre
+            post = posts[t]
             if post & rest:  # name the clashing places as a key names them
                 raise UnsafeNetError("net is not 1-bounded: firing %r would "
                                      "put a second token in %s"
-                                     % (label, discover(post & rest)[0]))
+                                     % (labels[t], _key(places, post & rest)))
             nxt = rest | post
-            nxt_key = key_of.get(nxt)
-            if nxt_key is None:
-                if len(order) + 1 > max_states:
+            j = index.get(nxt)
+            if j is None:
+                j = len(masks)
+                if j >= max_states:
                     raise StateLimitError(
                         "reachability exceeds %d states" % max_states)
-                nxt_key, nxt_cands = discover(nxt)
-                key_of[nxt] = nxt_key
-                order.append(nxt_key)
-                queue.append((nxt, nxt_key, nxt_cands))
-            out.append(RGEdge(key, label, nxt_key))
-        edges.extend(out)
-        succ[key] = tuple(out)
+                index[nxt] = j
+                masks.append(nxt)
+            lab.append(t)
+            dst.append(j)
+        off.append(len(dst))
 
     sinks = net.sink_places()
-    term_key = marking_key(sinks)
-    terminal = term_key if len(sinks) == 1 and term_key in succ else None
-    return ReachGraph(nodes=tuple(order), edges=tuple(edges),
-                      initial=init_key, terminal=terminal, succ=succ)
+    terminal = index.get(bit[min(sinks)]) if len(sinks) == 1 else None
+    return ReachGraph(places, labels, masks, index, off, lab, dst, terminal)
+
+
+class RGEdge(NamedTuple):
+    """One labeled marking transition; identity and order are the triple's."""
+
+    src: str
+    label: str
+    dst: str
+
+
+class KeyedGraph(NamedTuple):
+    """A reachability graph in key form (see ``keyed``)."""
+
+    nodes: tuple            # node keys in first-discovered order
+    edges: tuple            # RGEdge in discovery order
+    initial: str
+    terminal: str           # key of the {sink} marking, or None
+    succ: dict              # key -> tuple of outgoing RGEdge
+
+    def pred(self):
+        """Predecessor keys of each key, computed on demand."""
+        back = {n: [] for n in self.nodes}
+        for src, _, dst in self.edges:
+            back[dst].append(src)
+        return back
+
+
+def keyed(graph):
+    """The graph with key strings for nodes and ``RGEdge`` triples for
+    edges, for the reference code and the tests; the commands that
+    validate, export and map never build it."""
+    keys = graph.keys()
+    labels, off, lab, dst = graph.labels, graph.off, graph.lab, graph.dst
+    succ = {key: tuple(RGEdge(key, labels[lab[e]], keys[dst[e]])
+                       for e in range(off[node], off[node + 1]))
+            for node, key in enumerate(keys)}
+    return KeyedGraph(
+        nodes=tuple(keys),
+        edges=tuple(e for out in succ.values() for e in out),
+        initial=keys[graph.initial],
+        terminal=None if graph.terminal is None else keys[graph.terminal],
+        succ=succ)
 
 
 def validate_behavioral(net, graph):
@@ -133,40 +218,43 @@ def validate_behavioral(net, graph):
 
     DEAD_TRANSITION: transition labels no edge.  NO_PROPER_COMPLETION: the
     terminal marking is unreachable from a node (deadlocks included; if there
-    is no terminal node at all, every node is flagged).
+    is no terminal node at all, every node is flagged).  Keys are built for
+    the flagged nodes only.
     """
     violations = []
-    fired = {e.label for e in graph.edges}
-    for t in net.transitions:
-        if t.label not in fired:
+    fired = set(graph.lab)
+    for t, label in enumerate(graph.labels):
+        if t not in fired:
             violations.append(Violation(
                 "DEAD_TRANSITION", "never enabled in any reachable marking",
-                t.label))
+                label))
 
     can_finish = (set() if graph.terminal is None
                   else _reach({graph.terminal}, graph.pred()))
-    for key in graph.nodes:
-        if key not in can_finish:
+    for node in graph.nodes:
+        if node not in can_finish:
             violations.append(Violation(
                 "NO_PROPER_COMPLETION",
                 "terminal marking is unreachable from this marking",
-                key_label(key)))
+                key_label(graph.key(node))))
     return ValidationReport(tuple(violations))
 
 
 def to_dot(graph):
-    """Render the graph as DOT text, byte-deterministic (canonical order).
-    Node names are ``key_label`` forms, written inline; ``\\`` and ``"``
-    in names and labels are escaped, once per name."""
-    esc = {name: name.replace("\\", "\\\\").replace('"', '\\"')
-           for name in {*graph.nodes, *(e.label for e in graph.edges)}}
-    order = sorted(graph.nodes)
+    """Render the graph as DOT text, byte-deterministic (canonical order):
+    nodes by key, and each source's edges in label order, which is their
+    CSR order.  Node names are ``key_label`` forms, written inline; ``\\``
+    and ``"`` in names and labels are escaped, once per name."""
+    keys = graph.keys()
+    name = [k.replace("\\", "\\\\").replace('"', '\\"') for k in keys]
+    label = [t.replace("\\", "\\\\").replace('"', '\\"')
+             for t in graph.labels]
+    off, lab, dst = graph.off, graph.lab, graph.dst
+    order = sorted(graph.nodes, key=keys.__getitem__)
     lines = ["digraph reachability {"]
-    lines.extend(['  "{%s}";' % esc[key] for key in order])
-    # edges in (src, label, dst) order, sorted one source at a time
+    lines.extend(['  "{%s}";' % name[node] for node in order])
     lines.extend(['  "{%s}" -> "{%s}" [label="%s"];'
-                  % (esc[src], esc[dst], esc[lab])
-                  for key in order
-                  for src, lab, dst in sorted(graph.succ[key])])
+                  % (name[node], name[dst[e]], label[lab[e]])
+                  for node in order for e in range(off[node], off[node + 1])])
     lines.append("}\n")
     return "\n".join(lines)

@@ -4,10 +4,11 @@ For a reachability-graph node, the family of TTSs is the set of distinct
 transition-label sets over all firing traces from the initial node to it.
 Traces may be infinite in number (loops), but the family is finite.
 ``tts_all``, the engine ``map`` and ``tts`` run, computes it by a forward
-closure that can leave a net's empty labels out as it walks.  The paper's
-construction stays as the reference the tests check: elementary seed paths
-absorb every elementary cycle touching a node already covered, until a
-fixpoint (``tts_for_node``).
+closure over the int graph that can leave a net's empty labels out as it
+walks.  The paper's construction stays as the reference the tests check:
+elementary seed paths absorb every elementary cycle touching a node already
+covered, until a fixpoint (``tts_for_node``).  It reads the key form of the
+graph, ``reachability.keyed(graph)``.
 """
 
 from dataclasses import dataclass
@@ -153,19 +154,24 @@ def tts_for_node(graph, node, cycles=None):
 
 
 def tts_all(graph, ignore=frozenset()):
-    """TTS families for every node: a worklist closure over (node, label
-    set) states from (initial, {}), where an edge leads to (dst, labels |
-    {label}) and a label in ``ignore`` adds nothing.  Each state reached at
-    a node is one of its TTSs, with the ``ignore`` labels left out; a
-    node's family is the set of those frozensets."""
+    """TTS families for every node id: a worklist closure over (node,
+    label set) states from (initial, {}) along the CSR edges, where an edge
+    leads to (dst, labels | {label}) and a label in ``ignore`` adds
+    nothing.  Each state reached at a node is one of its TTSs, with the
+    ``ignore`` labels left out; a node's family is the set of those
+    frozensets."""
+    off, lab, dst = graph.off, graph.lab, graph.dst
+    names = [None if label in ignore else label for label in graph.labels]
     families = {node: set() for node in graph.nodes}
     families[graph.initial].add(frozenset())
     worklist = [(graph.initial, frozenset())]
     while worklist:
         node, labels = worklist.pop()
-        for edge in graph.succ[node]:
-            reached = labels if edge.label in ignore else labels | {edge.label}
-            if reached not in families[edge.dst]:
-                families[edge.dst].add(reached)
-                worklist.append((edge.dst, reached))
+        for e in range(off[node], off[node + 1]):
+            name = names[lab[e]]
+            reached = labels if name is None else labels | {name}
+            family = families[dst[e]]
+            if reached not in family:
+                family.add(reached)
+                worklist.append((dst[e], reached))
     return families

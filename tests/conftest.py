@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from wfmig import (Transition, WFNet, build_reachability, parse_net,
-                   purge)
+from wfmig import (Transition, WFNet, build_reachability, keyed, parse_net,
+                   purge, tts_all)
 from wfmig.oracle import oracle_tts
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -60,14 +60,22 @@ def oracle_mapping(old_net, new_net):
     """Brute-force ground truth for ``find_equivalence_mapping``: each old
     marking against every new marking whose purged ``oracle_tts`` family
     shares a member with its own."""
-    old_g = build_reachability(old_net)
-    new_g = build_reachability(new_net)
+    old_g = keyed(build_reachability(old_net))
+    new_g = keyed(build_reachability(new_net))
     old_fams = {n: purge(oracle_tts(old_g, n), old_net.empty_labels)
                 for n in old_g.nodes}
     new_fams = {n: purge(oracle_tts(new_g, n), new_net.empty_labels)
                 for n in new_g.nodes}
     return {n: {m for m in new_g.nodes if new_fams[m] & old_fams[n]}
             for n in old_g.nodes}
+
+
+def families_by_key(graph, ignore=frozenset()):
+    """``tts_all``'s families by node key, as the reference code and the
+    oracle name nodes, instead of by node id."""
+    keys = keyed(graph).nodes
+    return {keys[node]: family
+            for node, family in tts_all(graph, ignore).items()}
 
 
 def fixture_path(name):

@@ -6,15 +6,15 @@ import time
 import pytest
 
 from wfmig import (build_reachability, change_region,
-                   find_equivalence_mapping, tts_all, tts_for_node,
+                   find_equivalence_mapping, keyed, tts_for_node,
                    validate_behavioral, validate_structural)
 from wfmig.cli import main
 from wfmig.oracle import GenParams, oracle_tts, random_wfnet
 from wfmig.tts import EdgeSet, attachable_cycles, find_cycles, \
     find_simple_paths
 
-from conftest import (FIXTURE_NAMES, fixture_net, fixture_path as fx,
-                      oracle_mapping)
+from conftest import (FIXTURE_NAMES, families_by_key, fixture_net,
+                      fixture_path as fx, oracle_mapping)
 
 
 class _Criterion:
@@ -55,7 +55,7 @@ def test_criterion_1_fig4_tts(capsys):
 
 def test_criterion_2_fig6_fixpoint():
     with _Criterion(2, "fig6 fixpoint reproduction", 1):
-        graph = build_reachability(fixture_net("fig6"))
+        graph = keyed(build_reachability(fixture_net("fig6")))
         cycles = find_cycles(graph)
         (seed,) = [EdgeSet.from_path(p, graph.initial)
                    for p in find_simple_paths(graph, graph.initial, "P1")]
@@ -123,7 +123,8 @@ def test_criterion_4_oracle_equivalence():
             graph = build_reachability(net)
             if len(graph.nodes) > 12:
                 continue
-            families = tts_all(graph)
+            families = families_by_key(graph)
+            graph = keyed(graph)
             for node in graph.nodes:
                 assert families[node] == oracle_tts(graph, node), (seed, node)
             checked += 1

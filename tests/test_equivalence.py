@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfmig import (Transition, WFNet, build_reachability, change_region,
-                   find_equivalence_mapping, purge)
+                   find_equivalence_mapping, keyed, purge)
 from wfmig.oracle import GenParams, random_wfnet
 
 from conftest import (fixture_net, oracle_mapping, par_redo_net,
@@ -59,7 +59,7 @@ def test_table_1_change_region():
 
 
 def test_old_net_marking_count():
-    g = build_reachability(fixture_net("fig8_old"))
+    g = keyed(build_reachability(fixture_net("fig8_old")))
     assert sorted(g.nodes) == sorted(TABLE_1)
 
 
@@ -122,8 +122,8 @@ def test_initials_match_when_acyclic_and_no_empties():
     a = random_wfnet(GenParams(seed=3, loop_probability=0.0))
     b = random_wfnet(GenParams(seed=4, loop_probability=0.0))
     table = find_equivalence_mapping(a, b)
-    ga = build_reachability(a)
-    gb = build_reachability(b)
+    ga = keyed(build_reachability(a))
+    gb = keyed(build_reachability(b))
     assert gb.initial in dict(table.rows)[ga.initial]
 
 

@@ -6,11 +6,12 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfmig import (GenParams, NetFormatError, Transition, WFNet,
-                   build_reachability, parse_net, random_wfnet,
-                   serialize_net, to_dot)
-from wfmig import cli
+from wfmig import (GenParams, MappingTable, NetFormatError, Transition,
+                   WFNet, build_reachability, find_equivalence_mapping, keyed,
+                   parse_net, random_wfnet, serialize_net, to_dot)
+from wfmig import cli, reachability
 from wfmig.cli import main
+from wfmig.netformat import emit_json, mapping_document
 
 from conftest import (FIXTURE_NAMES, GOLDEN, SURROGATE, fixture_net,
                       fixture_path as fx, long_sequence_net,
@@ -83,12 +84,41 @@ def test_round_trip_and_dot_on_arbitrary_names(net):
     assert serialize_net(parse_net(text)) == text
     graph = build_reachability(net)
     lines = to_dot(graph).splitlines()[1:-1]
+    graph = keyed(graph)
     quoted = [[re.sub(r"\\(.)", r"\1", q) for q in QUOTED.findall(line)]
               for line in lines]
     assert quoted == (
         [["{%s}" % key] for key in sorted(graph.nodes)]
         + [["{%s}" % src, "{%s}" % dst, label]
            for src, label, dst in sorted(graph.edges)])
+
+
+def test_emit_json_writes_what_json_dumps_writes():
+    """emit_json writes the mapping document itself; mapping_document
+    through json.dumps is the reference, on every ordered fixture pair,
+    generator pairs with empty transitions, and hand-made tables with the
+    empty marking, no rows, and names holding JSON specials."""
+    def reference(old, new, table):
+        return json.dumps(mapping_document(old, new, table), indent=2) + "\n"
+
+    nets = [fixture_net(name) for name in FIXTURE_NAMES]
+    cases = [(old, new, find_equivalence_mapping(old, new))
+             for old in nets for new in nets]
+    for seed in range(40):
+        old, new = (with_empty_transitions(random_wfnet(GenParams(seed=s)), s)
+                    for s in (seed, seed + 5000))
+        cases.append((old, new, find_equivalence_mapping(old, new)))
+    odd = WFNet(["s", "e"], ["t"], [("s", "t"), ("t", "e")],
+                name='q"\\ \xe9\u4e2d\U0001f600\n')
+    cases += [(odd, odd, MappingTable(rows)) for rows in [
+        (),
+        (("", ()),),                                  # a change-region row
+        (("", ("",)), ("a", ("", "b,c"))),            # the empty marking
+        (('b\\s,q"x', ('q"x', '\xe9,\u4e2d\U0001f600')),
+         ("\x7f\t", ('b\\s', "\x00"))),
+    ]]
+    for old, new, table in cases:
+        assert emit_json(old, new, table) == reference(old, new, table)
 
 
 def test_arcs_name_transitions_by_id():
@@ -273,13 +303,19 @@ def test_cli_tts_purges_by_default(capsys):
 
 
 def test_cli_tts_unreachable_marking(capsys):
-    for command in ("tts", "oracle-tts"):
-        code, out, err = run_cli(capsys, command, fx("sequence"),
-                                 "--marking", "p1,p3")
-        assert code == 1
-        assert out == ""
-        assert err == ("UNREACHABLE_MARKING: marking {p1,p3} is not "
-                       "reachable\n")
+    for marking, shown in [
+            ("p1,p3", "p1,p3"),     # places of the net, never marked together
+            ("p3, p1", "p1,p3"),
+            ("zz", "zz"),           # a place the net lacks
+            ("p2,zz", "p2,zz"),
+            (",", "")]:             # the empty marking
+        for command in ("tts", "oracle-tts"):
+            code, out, err = run_cli(capsys, command, fx("sequence"),
+                                     "--marking", marking)
+            assert code == 1
+            assert out == ""
+            assert err == ("UNREACHABLE_MARKING: marking {%s} is not "
+                           "reachable\n" % shown)
 
 
 def test_cli_map_csv(capsys):
@@ -386,6 +422,28 @@ def test_cli_hidden_oracle_tts_agrees_with_tts(capsys):
     assert fast == brute
 
 
+def test_cli_commands_never_build_the_key_form(capsys, tmp_path,
+                                              monkeypatch):
+    """validate, reach --dot, tts and map read the int graph; only the
+    oracle-tts debug command builds ``keyed(graph)``."""
+    def refuse(graph):
+        raise AssertionError("keyed() called")
+
+    runs = []
+    for name in FIXTURE_NAMES:
+        runs.append(["validate", fx(name)])
+        runs.append(["reach", fx(name), "--dot", str(tmp_path / "g.dot")])
+        for fmt in ("table", "json", "csv"):
+            runs.append(["map", "--old", fx(name), "--new", fx("fig8_new"),
+                             "--format", fmt])
+    runs.append(["tts", fx("fig4"), "--marking", "P2"])
+    outputs = [run_cli(capsys, *argv) for argv in runs]
+    monkeypatch.setattr(reachability, "keyed", refuse)
+    assert [run_cli(capsys, *argv) for argv in runs] == outputs
+    with pytest.raises(AssertionError, match="keyed"):
+        main(["oracle-tts", fx("fig4"), "--marking", "P2"])
+
+
 def test_cli_map_and_tts_on_a_deep_sequence(capsys, tmp_path):
     path = tmp_path / "sequence-1200.json"
     path.write_text(serialize_net(long_sequence_net(1200)))
@@ -466,12 +524,37 @@ BAD_INPUTS = {
      "WRITE_ERROR: cannot write : No such file or directory"),
     (("oracle-tts", fx("fig4"), "--marking", "P1", "--bound", "-3"),
      "wfmig oracle-tts: error: argument --bound: must be at least 0: '-3'"),
+    (("gen-net", "--loop-probability", "5"),
+     "wfmig gen-net: error: argument --loop-probability: must be in [0, 1]: "
+     "'5'"),
+    (("gen-net", "--loop-probability", "-1"),
+     "wfmig gen-net: error: argument --loop-probability: must be in [0, 1]: "
+     "'-1'"),
+    (("gen-net", "--loop-probability", "inf"),
+     "wfmig gen-net: error: argument --loop-probability: must be in [0, 1]: "
+     "'inf'"),
+    (("gen-net", "--loop-probability", "nan"),
+     "wfmig gen-net: error: argument --loop-probability: must be in [0, 1]: "
+     "'nan'"),
+    (("gen-net", "--parallel-probability", "5"),
+     "wfmig gen-net: error: argument --parallel-probability: must be in "
+     "[0, 1]: '5'"),
+    (("gen-net", "--parallel-probability", "nan"),
+     "wfmig gen-net: error: argument --parallel-probability: must be in "
+     "[0, 1]: 'nan'"),
+    (("gen-net", "--parallel-probability", "x"),
+     "wfmig gen-net: error: argument --parallel-probability: invalid float "
+     "value: 'x'"),
 ], ids=["validate-max-states-0", "reach-max-states-negative",
         "tts-max-states-0", "map-max-states-0", "oracle-tts-max-states-0",
         "gen-net-max-places-1", "gen-net-max-transitions-0", "not-utf-8",
         "dot-unwritable", "deep-nesting", "id-is-a-place",
         "lone-surrogate", "place-name-whitespace", "repeated-arc",
-        "dot-empty-path", "oracle-tts-bound-negative"])
+        "dot-empty-path", "oracle-tts-bound-negative",
+        "gen-net-loop-probability-5", "gen-net-loop-probability-negative",
+        "gen-net-loop-probability-inf", "gen-net-loop-probability-nan",
+        "gen-net-parallel-probability-5", "gen-net-parallel-probability-nan",
+        "gen-net-parallel-probability-not-a-float"])
 def test_cli_bad_arguments_and_files_exit_2_with_a_coded_line(
         capsys, tmp_path, argv, err):
     """Each call returns exit 2 with one diagnostic line last on stderr and

@@ -2,19 +2,19 @@ from collections import deque
 
 import pytest
 
-from wfmig import (NetFormatError, RGEdge, ReachGraph, StateLimitError,
+from wfmig import (KeyedGraph, NetFormatError, RGEdge, StateLimitError,
                    UnsafeFiringError, UnsafeNetError, WFNet,
-                   build_reachability, enabled, fire, to_dot,
-                   validate_behavioral)
+                   build_reachability, enabled, fire, keyed, marking_key,
+                   to_dot, validate_behavioral)
 from wfmig.oracle import GenParams, random_wfnet
-from wfmig.reachability import DEFAULT_MAX_STATES, marking_key
+from wfmig.reachability import DEFAULT_MAX_STATES
 
 from conftest import (FIXTURE_NAMES, GOLDEN, fixture_net, long_sequence_net,
                       par_redo_net)
 
 
 def test_sequence_graph(sequence_net):
-    g = build_reachability(sequence_net)
+    g = keyed(build_reachability(sequence_net))
     assert g.nodes == ("p1", "p2", "p3")
     assert [(e.src, e.label, e.dst) for e in g.edges] == [
         ("p1", "T0", "p2"), ("p2", "T1", "p3")]
@@ -74,18 +74,18 @@ def test_no_terminal_flags_every_node(fig4_net):
     report = validate_behavioral(fig4_net, g)
     flagged = {v.element for v in report.violations
                if v.code == "NO_PROPER_COMPLETION"}
-    assert flagged == {"{%s}" % n for n in g.nodes}
+    assert flagged == {"{%s}" % n for n in keyed(g).nodes}
 
 
 def test_build_is_deterministic(fig6_net):
-    a = build_reachability(fig6_net)
-    b = build_reachability(fixture_net("fig6"))
+    a = keyed(build_reachability(fig6_net))
+    b = keyed(build_reachability(fixture_net("fig6")))
     assert a.nodes == b.nodes
     assert a.edges == b.edges
 
 
 def test_edges_replay(fig6_net):
-    g = build_reachability(fig6_net)
+    g = keyed(build_reachability(fig6_net))
     for e in g.edges:
         src = frozenset(e.src.split(","))
         assert marking_key(fire(fig6_net, src, e.label)) == e.dst
@@ -109,8 +109,25 @@ def _exhaustive_markings(net):
 @pytest.mark.parametrize("seed", range(25))
 def test_completeness_against_exhaustive_enumeration(seed):
     net = random_wfnet(GenParams(seed=seed, max_places=8))
-    g = build_reachability(net)
+    g = keyed(build_reachability(net))
     assert set(g.nodes) == {marking_key(m) for m in _exhaustive_markings(net)}
+
+
+def test_each_source_lists_its_edges_in_strictly_increasing_label_order():
+    """One edge per transition and source, in sorted label order: to_dot
+    writes each source's edges in this CSR order without sorting them."""
+    nets = [fixture_net(name) for name in FIXTURE_NAMES]
+    nets += [random_wfnet(GenParams(seed=seed)) for seed in range(50)]
+    nets += [par_redo_net(2, 2), long_sequence_net(30)]
+    nets += [net for name, net in _edge_case_nets() if "unsafe" not in name]
+    for net in nets:
+        g = build_reachability(net)
+        assert list(g.labels) == sorted(net.labels)
+        assert len(g.off) == len(g.nodes) + 1
+        assert g.off[0] == 0 and g.off[-1] == len(g.edges) == len(g.lab)
+        for node in g.nodes:
+            labels = g.lab[g.off[node]:g.off[node + 1]]
+            assert all(a < b for a, b in zip(labels, labels[1:])), net.name
 
 
 def test_to_dot_single_node():
@@ -181,12 +198,12 @@ def reference_reachability(net, max_states=DEFAULT_MAX_STATES):
     sink_key = marking_key(net.sink_places())
     terminal = (sink_key if len(net.sink_places()) == 1
                 and sink_key in marking else None)
-    return ReachGraph(tuple(order), tuple(edges), init_key, terminal, succ)
+    return KeyedGraph(tuple(order), tuple(edges), init_key, terminal, succ)
 
 
 def assert_same_graph(net, max_states=DEFAULT_MAX_STATES):
-    """Equal graphs, ``succ`` included and keyed by every marking in
-    discovery order, or the same error with the same message."""
+    """Equal graphs in key form, ``succ`` included and keyed by every
+    marking in discovery order, or the same error with the same message."""
     try:
         expected = reference_reachability(net, max_states)
     except (StateLimitError, UnsafeNetError, ValueError) as exc:
@@ -195,7 +212,7 @@ def assert_same_graph(net, max_states=DEFAULT_MAX_STATES):
         assert type(got.value) is type(exc)
         assert str(got.value) == str(exc)
         return
-    g = build_reachability(net, max_states)
+    g = keyed(build_reachability(net, max_states))
     assert g == expected
     assert list(g.succ) == list(expected.succ) == list(expected.nodes)
     assert g.succ == expected.succ

@@ -3,11 +3,11 @@ import random
 import pytest
 
 from wfmig import (build_reachability, expand_with_cycles, find_cycles,
-                   find_simple_paths, purge, tts_all, tts_for_node)
+                   find_simple_paths, keyed, purge, tts_all, tts_for_node)
 from wfmig.oracle import GenParams, oracle_tts, random_wfnet
 from wfmig.tts import EdgeSet, attachable_cycles
 
-from conftest import par_redo_net, with_empty_transitions
+from conftest import families_by_key, par_redo_net, with_empty_transitions
 
 FIG4_P2_FAMILY = {
     frozenset({"T0"}),
@@ -40,12 +40,12 @@ FIG6_P1_FAMILY = {
 
 @pytest.fixture
 def fig4_graph(fig4_net):
-    return build_reachability(fig4_net)
+    return keyed(build_reachability(fig4_net))
 
 
 @pytest.fixture
 def fig6_graph(fig6_net):
-    return build_reachability(fig6_net)
+    return keyed(build_reachability(fig6_net))
 
 
 def test_seed_path_to_p2(fig4_graph):
@@ -63,7 +63,7 @@ def test_diamond_two_paths():
                                                           "t4"],
                 arcs=[("a", "t1"), ("t1", "b"), ("a", "t2"), ("t2", "c"),
                       ("b", "t3"), ("t3", "d"), ("c", "t4"), ("t4", "d")])
-    g = build_reachability(net)
+    g = keyed(build_reachability(net))
     paths = find_simple_paths(g, "a", "d")
     assert [[e.label for e in p] for p in paths] == [["t1", "t3"],
                                                      ["t2", "t4"]]
@@ -80,7 +80,7 @@ def test_fig4_cycles(fig4_graph):
 
 
 def test_acyclic_graph_has_no_cycles(sequence_net):
-    assert find_cycles(build_reachability(sequence_net)) == frozenset()
+    assert find_cycles(keyed(build_reachability(sequence_net))) == frozenset()
 
 
 def test_fig6_cycles(fig6_graph):
@@ -98,7 +98,7 @@ def test_self_loop_is_a_cycle():
     net = WFNet(places=["s", "a", "b"], transitions=["v", "t", "u"],
                 arcs=[("s", "v"), ("v", "a"),
                       ("a", "t"), ("t", "a"), ("a", "u"), ("u", "b")])
-    g = build_reachability(net)
+    g = keyed(build_reachability(net))
     cycles = find_cycles(g)
     assert {tuple(e.label for e in c.edges) for c in cycles} == {("t",)}
 
@@ -119,7 +119,7 @@ def test_fig4_expansion(fig4_graph):
 
 
 def test_expansion_without_cycles_is_identity(sequence_net):
-    g = build_reachability(sequence_net)
+    g = keyed(build_reachability(sequence_net))
     seeds = [EdgeSet.from_path(p, g.initial)
              for p in find_simple_paths(g, g.initial, "p3")]
     assert expand_with_cycles(seeds, frozenset()) == set(seeds)
@@ -146,13 +146,13 @@ def test_fig4_family(fig4_graph):
 
 
 def test_initial_node_of_acyclic_graph(sequence_net):
-    g = build_reachability(sequence_net)
+    g = keyed(build_reachability(sequence_net))
     assert tts_for_node(g, g.initial) == {frozenset()}
 
 
 def test_tts_all_sequence(sequence_net):
     g = build_reachability(sequence_net)
-    assert tts_all(g) == {
+    assert families_by_key(g) == {
         "p1": frozenset({frozenset()}),
         "p2": frozenset({frozenset({"T0"})}),
         "p3": frozenset({frozenset({"T0", "T1"})}),
@@ -181,8 +181,8 @@ def test_cycle_order_independence(fig6_graph):
         assert expand_with_cycles([seed], tuple(cycles)) == reference
 
 
-def test_family_bounded_by_label_powerset(fig6_graph, fig6_net):
-    for family in tts_all(fig6_graph).values():
+def test_family_bounded_by_label_powerset(fig6_net):
+    for family in tts_all(build_reachability(fig6_net)).values():
         assert len(family) <= 2 ** len(fig6_net.transitions)
 
 
@@ -193,11 +193,12 @@ def test_matches_oracle_on_random_nets(seed):
     g = build_reachability(net)
     if len(g.nodes) > 12:
         pytest.skip("graph larger than the desk-scale oracle limit")
-    families = tts_all(g)
+    families = families_by_key(g)
     # the same graph with some labels empty: the closure drops them as it
     # walks, and must give the oracle's families purged afterwards
     empty = with_empty_transitions(net, seed).empty_labels
-    purged = tts_all(g, empty)
+    purged = families_by_key(g, empty)
+    g = keyed(g)
     for node in g.nodes:
         family = oracle_tts(g, node)
         assert families[node] == family
@@ -210,8 +211,10 @@ def test_matches_oracle_on_random_nets(seed):
 
 def assert_closure_equals_fixpoint(net):
     g = build_reachability(net)
-    cycles = find_cycles(g)
-    assert tts_all(g) == {n: tts_for_node(g, n, cycles) for n in g.nodes}
+    kg = keyed(g)
+    cycles = find_cycles(kg)
+    assert families_by_key(g) == {n: tts_for_node(kg, n, cycles)
+                                  for n in kg.nodes}
 
 
 def test_closure_equals_fixpoint_on_criterion_4_nets():
@@ -243,6 +246,7 @@ def test_closure_equals_fixpoint_on_acyclic_nets(seed):
 def test_closure_matches_oracle_on_parallel_redo_net():
     g = build_reachability(par_redo_net(2, 2))
     assert len(g.nodes) == 11
-    families = tts_all(g)
+    families = families_by_key(g)
+    g = keyed(g)
     for node in g.nodes:
         assert families[node] == oracle_tts(g, node), node
