@@ -13,7 +13,7 @@ import sys
 
 from . import equivalence, netformat, oracle, reachability, tts
 from .errors import NetFormatError, WfmigError
-from .net import key_label, marking_key, validate_structural
+from .net import _reach, key_label, marking_key, validate_structural
 from .reachability import DEFAULT_MAX_STATES
 
 USAGE_ERROR = 2
@@ -109,7 +109,10 @@ def _print_family(family):
 def cmd_tts(args):
     net, graph, node = _reachable_marking(args)
     ignore = frozenset() if args.keep_empty else net.empty_labels
-    _print_family(tts.tts_all(graph, ignore)[node])
+    ancestors = _reach({node}, graph.pred())
+    family = tts.tts_all(graph, ignore, nodes=ancestors)[node]
+    _print_family(reachability.mask_names(graph.labels, member)
+                  for member in family)
     return 0
 
 

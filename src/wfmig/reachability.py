@@ -33,14 +33,16 @@ from .net import ValidationReport, Violation, _reach, key_label
 DEFAULT_MAX_STATES = 100000
 
 
-def _key(places, mask):
-    """The key of a marking mask: its places, in bit (= sorted) order."""
-    names = []
+def mask_names(names, mask):
+    """The names of the set bits of ``mask``, bit ``i`` naming
+    ``names[i]``, in bit order.  Comma-joined over ``places``, it gives the
+    key of a marking mask."""
+    out = []
     while mask:
         low = mask & -mask
-        names.append(places[low.bit_length() - 1])
+        out.append(names[low.bit_length() - 1])
         mask ^= low
-    return ",".join(names)
+    return out
 
 
 class ReachGraph:
@@ -76,12 +78,13 @@ class ReachGraph:
 
     def key(self, node):
         """Key of one node, without building the others."""
-        return _key(self.places, self.masks[node])
+        return ",".join(mask_names(self.places, self.masks[node]))
 
     def keys(self):
         """Key of every node, by id; built on the first call only."""
         if self._keys is None:
-            self._keys = [_key(self.places, m) for m in self.masks]
+            self._keys = [",".join(mask_names(self.places, m))
+                          for m in self.masks]
         return self._keys
 
     def find(self, marking):
@@ -150,9 +153,10 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
             rest = m ^ pre
             post = posts[t]
             if post & rest:  # name the clashing places as a key names them
+                clash = ",".join(mask_names(places, post & rest))
                 raise UnsafeNetError("net is not 1-bounded: firing %r would "
                                      "put a second token in %s"
-                                     % (labels[t], _key(places, post & rest)))
+                                     % (labels[t], clash))
             nxt = rest | post
             j = index.get(nxt)
             if j is None:

@@ -5,10 +5,16 @@ transition-label sets over all firing traces from the initial node to it.
 Traces may be infinite in number (loops), but the family is finite.
 ``tts_all``, the engine ``map`` and ``tts`` run, computes it by a forward
 closure over the int graph that can leave a net's empty labels out as it
-walks.  The paper's construction stays as the reference the tests check:
-elementary seed paths absorb every elementary cycle touching a node already
-covered, until a fixpoint (``tts_for_node``).  It reads the key form of the
-graph, ``reachability.keyed(graph)``.
+walks.  Its members are ints: a TTS is a bitmask over one explicit label
+order, bit ``i`` for the ``i``-th label.  ``map`` gives both nets the
+sorted union of their labels, so equal label sets are equal ints across
+the nets; ``tts`` uses the net's own sorted labels and decodes the masks
+only to print them (``reachability.mask_names``).
+
+The paper's construction stays as the reference the tests check: elementary
+seed paths absorb every elementary cycle touching a node already covered,
+until a fixpoint (``tts_for_node``).  It reads the key form of the graph,
+``reachability.keyed(graph)``, and gives frozensets of label strings.
 """
 
 from dataclasses import dataclass
@@ -153,23 +159,43 @@ def tts_for_node(graph, node, cycles=None):
     return frozenset(es.label_set() for es in expanded)
 
 
-def tts_all(graph, ignore=frozenset()):
-    """TTS families for every node id: a worklist closure over (node,
-    label set) states from (initial, {}) along the CSR edges, where an edge
-    leads to (dst, labels | {label}) and a label in ``ignore`` adds
-    nothing.  Each state reached at a node is one of its TTSs, with the
-    ``ignore`` labels left out; a node's family is the set of those
-    frozensets."""
+def tts_all(graph, ignore=frozenset(), order=None, nodes=None):
+    """TTS families by node id, each a set of int members: a worklist
+    closure over (node, member) states from (initial, 0) along the CSR
+    edges.  Bit ``i`` of a member stands for label ``order[i]`` (default
+    ``graph.labels``, which is sorted); ``order`` must hold every label of
+    the graph.  An edge leads to (dst, member | its label's bit), and a
+    label in ``ignore`` has no bit, so it adds nothing.  Each state reached
+    at a node is one of its TTSs with the ``ignore`` labels left out, and
+    each TTS is one member, so the member count is the TTS count.
+
+    ``nodes``, if given, must hold the initial node and every predecessor
+    of each of its nodes, as the ancestors of a node do.  The closure then
+    walks only the edges inside ``nodes`` and returns the families of
+    those nodes, which are the same as in the whole graph."""
+    position = {label: i for i, label in enumerate(
+        graph.labels if order is None else order)}
+    bits = [0 if label in ignore else 1 << position[label]
+            for label in graph.labels]
     off, lab, dst = graph.off, graph.lab, graph.dst
-    names = [None if label in ignore else label for label in graph.labels]
-    families = {node: set() for node in graph.nodes}
-    families[graph.initial].add(frozenset())
-    worklist = [(graph.initial, frozenset())]
+    if nodes is not None:   # the edges inside ``nodes``, in CSR form
+        sub_off, sub_lab, sub_dst = [0] * len(off), [], []
+        for node in graph.nodes:
+            if node in nodes:
+                for e in range(off[node], off[node + 1]):
+                    if dst[e] in nodes:
+                        sub_lab.append(lab[e])
+                        sub_dst.append(dst[e])
+            sub_off[node + 1] = len(sub_dst)
+        off, lab, dst = sub_off, sub_lab, sub_dst
+    families = {node: set() for node in
+                (graph.nodes if nodes is None else sorted(nodes))}
+    families[graph.initial].add(0)
+    worklist = [(graph.initial, 0)]
     while worklist:
         node, labels = worklist.pop()
         for e in range(off[node], off[node + 1]):
-            name = names[lab[e]]
-            reached = labels if name is None else labels | {name}
+            reached = labels | bits[lab[e]]
             family = families[dst[e]]
             if reached not in family:
                 family.add(reached)

@@ -6,6 +6,7 @@ import pytest
 from wfmig import (Transition, WFNet, build_reachability, keyed, parse_net,
                    purge, tts_all)
 from wfmig.oracle import oracle_tts
+from wfmig.reachability import mask_names
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -71,10 +72,12 @@ def oracle_mapping(old_net, new_net):
 
 
 def families_by_key(graph, ignore=frozenset()):
-    """``tts_all``'s families by node key, as the reference code and the
-    oracle name nodes, instead of by node id."""
-    keys = keyed(graph).nodes
-    return {keys[node]: family
+    """``tts_all``'s families as the reference code and the oracle give
+    them: by node key instead of by node id, and each member decoded from
+    its label mask to a frozenset of labels."""
+    keys = graph.keys()
+    return {keys[node]: frozenset(frozenset(mask_names(graph.labels, member))
+                                  for member in family)
             for node, family in tts_all(graph, ignore).items()}
 
 

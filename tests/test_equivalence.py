@@ -172,3 +172,51 @@ def test_renaming_labels_in_both_nets_leaves_the_table_unchanged(pairs):
     (old, new), (renamed_old, renamed_new) = pairs
     assert (find_equivalence_mapping(renamed_old, renamed_new)
             == find_equivalence_mapping(old, new))
+
+
+def test_both_nets_number_label_bits_in_one_order():
+    # T2 is regular in the old net and empty in the new one; T3 and W4
+    # exist only in the old net, H and UT3 only in the new one; H sorts
+    # before every old label and UT3 between two of them, so a bit number
+    # taken from either net's own label list names different labels in the
+    # two nets.  Both reach {T1, W4}: p3 and q4 must match through it.
+    old = WFNet(places=["p0", "p1", "p2", "p3"],
+                transitions=["T1", "T2", "T3", "W4"],
+                arcs=[("p0", "T1"), ("T1", "p1"), ("p1", "T2"), ("T2", "p2"),
+                      ("p2", "T3"), ("T3", "p3"), ("p1", "W4"), ("W4", "p3")])
+    new = WFNet(places=["q0", "q1", "q2", "q3", "q4"],
+                transitions=["T1", Transition("T2", is_empty=True),
+                             Transition("H", is_empty=True), "UT3", "W4"],
+                arcs=[("q0", "T1"), ("T1", "q1"), ("q1", "T2"), ("T2", "q2"),
+                      ("q2", "H"), ("H", "q3"), ("q3", "UT3"), ("UT3", "q4"),
+                      ("q3", "W4"), ("W4", "q4")])
+    table = find_equivalence_mapping(old, new)
+    assert {key: set(eq) for key, eq in table.rows} == oracle_mapping(old, new)
+    assert dict(table.rows) == {"p0": ("q0",), "p1": ("q1", "q2", "q3"),
+                                "p2": (), "p3": ("q4",)}
+
+
+@st.composite
+def generator_pairs(draw):
+    """Two generator nets with about 30% empty transitions each."""
+    seeds = draw(st.lists(st.integers(0, 10 ** 6), min_size=2, max_size=2))
+    return [with_empty_transitions(random_wfnet(GenParams(seed=seed)), seed)
+            for seed in seeds]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(generator_pairs())
+def test_identity_migration_lists_every_marking_among_its_equivalents(pair):
+    for net in pair:
+        for key, eq in find_equivalence_mapping(net, net).rows:
+            assert key in eq, key
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(generator_pairs())
+def test_mapping_backward_is_the_transpose_of_mapping_forward(pair):
+    a, b = pair
+    forward = find_equivalence_mapping(a, b)
+    backward = find_equivalence_mapping(b, a)
+    assert ({(x, y) for x, eq in forward.rows for y in eq}
+            == {(x, y) for y, eq in backward.rows for x in eq})

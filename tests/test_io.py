@@ -302,6 +302,33 @@ def test_cli_tts_purges_by_default(capsys):
     assert out.splitlines() == ["{T1,e1}"]
 
 
+def test_cli_tts_fig8_golden(capsys):
+    # every reachable marking of both fig8 nets, with and without
+    # --keep-empty, as the CI job runs them through the installed script
+    text = []
+    for name in ("fig8_old", "fig8_new"):
+        for key in sorted(build_reachability(fixture_net(name)).keys()):
+            for flag in ([], ["--keep-empty"]):
+                argv = ["tts", "%s.json" % name, "--marking", key] + flag
+                code, out, err = run_cli(capsys, "tts", fx(name),
+                                         *argv[2:])
+                assert (code, err) == (0, ""), argv
+                text.append("$ wfmig %s\n%s" % (" ".join(argv), out))
+    assert "".join(text) == (GOLDEN / "fig8_tts.txt").read_text(
+        encoding="utf-8")
+
+
+def test_cli_tts_closes_over_the_ancestors_of_the_marking_only(
+        capsys, tmp_path):
+    # the whole closure of this net does not fit in 700 MB; the initial
+    # marking's only ancestor is itself
+    path = tmp_path / "net.json"
+    path.write_text(serialize_net(random_wfnet(GenParams(
+        seed=1, max_places=24, max_transitions=36))), encoding="utf-8")
+    assert run_cli(capsys, "tts", str(path), "--marking", "p0") == (
+        0, "{}\n", "")
+
+
 def test_cli_tts_unreachable_marking(capsys):
     for marking, shown in [
             ("p1,p3", "p1,p3"),     # places of the net, never marked together
