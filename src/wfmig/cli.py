@@ -2,13 +2,16 @@
 
 Exit codes: 0 success, 1 domain error (validation failure, state limit,
 unsafe net, unreachable marking), 2 usage error, a net file that cannot be
-read or parsed, or a ``--dot`` file that cannot be written.  Diagnostics
-go to stderr, data to stdout, and all output is byte-deterministic for
-equal inputs and flags.
+read or parsed, or a ``--dot`` file or stdout that cannot be written (a
+closed pipe included).  Diagnostics go to stderr, data to stdout, and all
+output is byte-deterministic for equal inputs and flags.  Every command
+runs the production engines only; the reference code (the paper's
+fixpoint, the oracle, ``reachability.keyed``) is for the tests.
 """
 
 import argparse
 import functools
+import os
 import sys
 
 from . import equivalence, netformat, oracle, reachability, tts
@@ -86,9 +89,7 @@ def cmd_reach(args):
     return 0
 
 
-def _reachable_marking(args):
-    """The net, its reachability graph and the node id of ``--marking``,
-    which must be reachable."""
+def cmd_tts(args):
     net = _load_net(args.net)
     _require_structural(net)
     graph = reachability.build_reachability(net, args.max_states)
@@ -98,21 +99,12 @@ def _reachable_marking(args):
         raise WfmigError("marking %s is not reachable"
                          % key_label(marking_key(marking)),
                          code="UNREACHABLE_MARKING")
-    return net, graph, node
-
-
-def _print_family(family):
-    for member in sorted(family, key=sorted):
-        print(key_label(marking_key(member)))
-
-
-def cmd_tts(args):
-    net, graph, node = _reachable_marking(args)
     ignore = frozenset() if args.keep_empty else net.empty_labels
     ancestors = _reach({node}, graph.pred())
     family = tts.tts_all(graph, ignore, nodes=ancestors)[node]
-    _print_family(reachability.mask_names(graph.labels, member)
-                  for member in family)
+    for member in sorted((reachability.mask_names(graph.labels, member)
+                          for member in family), key=sorted):
+        print(key_label(marking_key(member)))
     return 0
 
 
@@ -138,13 +130,6 @@ def cmd_gen_net(args):
                               loop_probability=args.loop_probability,
                               parallel_probability=args.parallel_probability)
     sys.stdout.write(netformat.serialize_net(oracle.random_wfnet(params)))
-    return 0
-
-
-def cmd_oracle_tts(args):
-    _, graph, node = _reachable_marking(args)
-    graph = reachability.keyed(graph)     # the oracle reads the key form
-    _print_family(oracle.oracle_tts(graph, graph.nodes[node], args.bound))
     return 0
 
 
@@ -228,7 +213,7 @@ def build_parser():
     _add_max_states(p)
     p.set_defaults(func=cmd_map)
 
-    # debugging helpers, kept out of the advertised command list
+    # a debugging helper, kept out of the advertised command list
     p = sub.add_parser("gen-net")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-places", type=_int_at_least(2), default=8)
@@ -237,13 +222,6 @@ def build_parser():
     p.add_argument("--parallel-probability", type=_float_in(0, 1),
                    default=0.3)
     p.set_defaults(func=cmd_gen_net)
-
-    p = sub.add_parser("oracle-tts")
-    p.add_argument("net")
-    p.add_argument("--marking", required=True)
-    p.add_argument("--bound", type=_int_at_least(0), default=None)
-    _add_max_states(p)
-    p.set_defaults(func=cmd_oracle_tts)
 
     return parser
 
@@ -255,7 +233,7 @@ def _shared_parser():
     return build_parser()
 
 
-def main(argv=None):
+def _run(argv):
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
@@ -266,6 +244,22 @@ def main(argv=None):
         print("%s: %s" % (exc.code, exc), file=sys.stderr)
         return (USAGE_ERROR if isinstance(exc, NetFormatError)
                 else DOMAIN_ERROR)
+
+
+def main(argv=None):
+    try:
+        code = _run(argv)
+        sys.stdout.flush()          # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        if sys.stdout is sys.__stdout__:    # not a stream a caller swapped in
+            # the interpreter flushes stdout once more as it exits; give
+            # the unwritten bytes somewhere to go
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("WRITE_ERROR: cannot write stdout: %s" % exc.strerror,
+              file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

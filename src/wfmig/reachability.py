@@ -49,24 +49,20 @@ class ReachGraph:
     """Reachability graph over int node ids.
 
     ``places`` and ``labels`` are sorted; ``masks[i]`` is node ``i``'s
-    marking and ``index`` maps a mask back to its id.  The out-edges of
-    node ``i`` are ``off[i]`` to ``off[i + 1]``; edge ``e`` fires
-    ``labels[lab[e]]`` to node ``dst[e]``.  ``initial`` is 0 and
-    ``terminal`` is the id of the {sink} marking, or None.  ``nodes`` and
-    ``edges`` are the ranges of node and edge ids."""
+    marking.  The out-edges of node ``i`` are ``off[i]`` to ``off[i + 1]``;
+    edge ``e`` fires ``labels[lab[e]]`` to node ``dst[e]``.  ``initial`` is
+    0 and ``terminal`` is the id of the {sink} marking, or None.  ``nodes``
+    and ``edges`` are the ranges of node and edge ids."""
 
-    def __init__(self, places, labels, masks, index, off, lab, dst,
-                 terminal):
+    def __init__(self, places, labels, masks, off, lab, dst, terminal):
         self.places = places
         self.labels = labels
         self.masks = masks
-        self.index = index
         self.off = off
         self.lab = lab
         self.dst = dst
         self.initial = 0
         self.terminal = terminal
-        self._keys = None
 
     @property
     def nodes(self):
@@ -81,22 +77,22 @@ class ReachGraph:
         return ",".join(mask_names(self.places, self.masks[node]))
 
     def keys(self):
-        """Key of every node, by id; built on the first call only."""
-        if self._keys is None:
-            self._keys = [",".join(mask_names(self.places, m))
-                          for m in self.masks]
-        return self._keys
+        """Key of every node, by id."""
+        return [",".join(mask_names(self.places, m)) for m in self.masks]
 
     def find(self, marking):
         """Id of a marking given as place names, or None if it is not
-        reachable (a place the net lacks included)."""
+        reachable (a place the net lacks included); a scan of ``masks``."""
         mask = 0
         for p in marking:
             i = bisect_left(self.places, p)
             if i == len(self.places) or self.places[i] != p:
                 return None
             mask |= 1 << i
-        return self.index.get(mask)
+        try:
+            return self.masks.index(mask)
+        except ValueError:
+            return None
 
     def pred(self):
         """Predecessor ids of each id, computed on demand."""
@@ -172,7 +168,7 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
 
     sinks = net.sink_places()
     terminal = index.get(bit[min(sinks)]) if len(sinks) == 1 else None
-    return ReachGraph(places, labels, masks, index, off, lab, dst, terminal)
+    return ReachGraph(places, labels, masks, off, lab, dst, terminal)
 
 
 class RGEdge(NamedTuple):

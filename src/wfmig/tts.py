@@ -170,34 +170,29 @@ def tts_all(graph, ignore=frozenset(), order=None, nodes=None):
     each TTS is one member, so the member count is the TTS count.
 
     ``nodes``, if given, must hold the initial node and every predecessor
-    of each of its nodes, as the ancestors of a node do.  The closure then
-    walks only the edges inside ``nodes`` and returns the families of
-    those nodes, which are the same as in the whole graph."""
+    of each of its nodes, as the ancestors of a node do.  Only the nodes in
+    ``nodes`` get a family, an edge into any other node is skipped, and the
+    families returned, those of ``nodes``, are the same as in the whole
+    graph."""
     position = {label: i for i, label in enumerate(
         graph.labels if order is None else order)}
     bits = [0 if label in ignore else 1 << position[label]
             for label in graph.labels]
     off, lab, dst = graph.off, graph.lab, graph.dst
-    if nodes is not None:   # the edges inside ``nodes``, in CSR form
-        sub_off, sub_lab, sub_dst = [0] * len(off), [], []
-        for node in graph.nodes:
-            if node in nodes:
-                for e in range(off[node], off[node + 1]):
-                    if dst[e] in nodes:
-                        sub_lab.append(lab[e])
-                        sub_dst.append(dst[e])
-            sub_off[node + 1] = len(sub_dst)
-        off, lab, dst = sub_off, sub_lab, sub_dst
-    families = {node: set() for node in
-                (graph.nodes if nodes is None else sorted(nodes))}
+    held = graph.nodes if nodes is None else sorted(nodes)
+    families = [None] * len(graph.nodes)    # None: no family, edge skipped
+    for node in held:
+        families[node] = set()
     families[graph.initial].add(0)
     worklist = [(graph.initial, 0)]
     while worklist:
         node, labels = worklist.pop()
         for e in range(off[node], off[node + 1]):
-            reached = labels | bits[lab[e]]
             family = families[dst[e]]
+            if family is None:
+                continue
+            reached = labels | bits[lab[e]]
             if reached not in family:
                 family.add(reached)
                 worklist.append((dst[e], reached))
-    return families
+    return {node: families[node] for node in held}

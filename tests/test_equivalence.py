@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfmig import (Transition, WFNet, build_reachability, change_region,
-                   find_equivalence_mapping, keyed, purge)
+                   find_equivalence_mapping, keyed, purge, tts_all)
 from wfmig.oracle import GenParams, random_wfnet
+from wfmig.reachability import mask_names
 
 from conftest import (fixture_net, oracle_mapping, par_redo_net,
                       with_empty_transitions)
@@ -220,3 +221,38 @@ def test_mapping_backward_is_the_transpose_of_mapping_forward(pair):
     backward = find_equivalence_mapping(b, a)
     assert ({(x, y) for x, eq in forward.rows for y in eq}
             == {(x, y) for y, eq in backward.rows for x in eq})
+
+
+@st.composite
+def pairs_and_label_orders(draw):
+    """A generator pair as ``generator_pairs`` draws it, and a permutation
+    of the sorted union of its labels."""
+    pair = draw(generator_pairs())
+    labels = sorted(pair[0].labels | pair[1].labels)
+    return pair, draw(st.permutations(labels))
+
+
+def _decoded(families, labels):
+    return {node: {frozenset(mask_names(labels, member)) for member in family}
+            for node, family in families.items()}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(pairs_and_label_orders())
+def test_label_order_changes_no_family_and_no_row(drawn):
+    """Both closures under any one order of the union labels: decoded, the
+    families are those of sorted order, and joined as ints, they give
+    ``find_equivalence_mapping``'s rows."""
+    pair, order = drawn
+    graphs = [build_reachability(net) for net in pair]
+    old_f, new_f = [tts_all(g, net.empty_labels, order)
+                    for g, net in zip(graphs, pair)]
+    for g, net, families in zip(graphs, pair, (old_f, new_f)):
+        assert _decoded(families, order) == _decoded(
+            tts_all(g, net.empty_labels, sorted(order)), sorted(order))
+    old_g, new_g = graphs
+    new_keys = new_g.keys()
+    rows = sorted((key, tuple(sorted(new_keys[m] for m in new_g.nodes
+                                     if new_f[m] & old_f[node])))
+                  for node, key in enumerate(old_g.keys()))
+    assert tuple(rows) == find_equivalence_mapping(*pair).rows

@@ -1,7 +1,11 @@
 import csv
+import errno
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +16,10 @@ from wfmig import (GenParams, MappingTable, NetFormatError, Transition,
 from wfmig import cli, reachability
 from wfmig.cli import main
 from wfmig.netformat import emit_json, mapping_document
+from wfmig.oracle import oracle_tts
 
-from conftest import (FIXTURE_NAMES, GOLDEN, SURROGATE, fixture_net,
-                      fixture_path as fx, long_sequence_net,
+from conftest import (FIXTURE_NAMES, GOLDEN, ROOT, SURROGATE, fixture_net,
+                      fixture_path as fx, long_sequence_net, par_redo_net,
                       with_empty_transitions)
 
 # s -t-> " m" -u-> e: the middle place name starts with a space
@@ -336,13 +341,12 @@ def test_cli_tts_unreachable_marking(capsys):
             ("zz", "zz"),           # a place the net lacks
             ("p2,zz", "p2,zz"),
             (",", "")]:             # the empty marking
-        for command in ("tts", "oracle-tts"):
-            code, out, err = run_cli(capsys, command, fx("sequence"),
-                                     "--marking", marking)
-            assert code == 1
-            assert out == ""
-            assert err == ("UNREACHABLE_MARKING: marking {%s} is not "
-                           "reachable\n" % shown)
+        code, out, err = run_cli(capsys, "tts", fx("sequence"),
+                                 "--marking", marking)
+        assert code == 1
+        assert out == ""
+        assert err == ("UNREACHABLE_MARKING: marking {%s} is not "
+                       "reachable\n" % shown)
 
 
 def test_cli_map_csv(capsys):
@@ -442,17 +446,19 @@ def test_cli_hidden_gen_net_roundtrip(capsys):
     assert serialize_net(net) == out
 
 
-def test_cli_hidden_oracle_tts_agrees_with_tts(capsys):
-    _, fast, _ = run_cli(capsys, "tts", fx("fig4"), "--marking", "P2")
-    _, brute, _ = run_cli(capsys, "oracle-tts", fx("fig4"),
-                          "--marking", "P2")
-    assert fast == brute
+def test_cli_tts_agrees_with_the_oracle(capsys):
+    code, out, err = run_cli(capsys, "tts", fx("fig4"), "--marking", "P2")
+    family = oracle_tts(keyed(build_reachability(fixture_net("fig4"))),
+                        "P2")
+    assert (code, err) == (0, "")
+    assert out == "".join("{%s}\n" % ",".join(sorted(member))
+                          for member in sorted(family, key=sorted))
 
 
 def test_cli_commands_never_build_the_key_form(capsys, tmp_path,
                                               monkeypatch):
-    """validate, reach --dot, tts and map read the int graph; only the
-    oracle-tts debug command builds ``keyed(graph)``."""
+    """validate, reach --dot, tts and map read the int graph; no command
+    builds ``keyed(graph)``, the reference code's form."""
     def refuse(graph):
         raise AssertionError("keyed() called")
 
@@ -467,8 +473,8 @@ def test_cli_commands_never_build_the_key_form(capsys, tmp_path,
     outputs = [run_cli(capsys, *argv) for argv in runs]
     monkeypatch.setattr(reachability, "keyed", refuse)
     assert [run_cli(capsys, *argv) for argv in runs] == outputs
-    with pytest.raises(AssertionError, match="keyed"):
-        main(["oracle-tts", fx("fig4"), "--marking", "P2"])
+    with pytest.raises(AssertionError, match="keyed"):  # the patch took
+        reachability.keyed(build_reachability(fixture_net("fig4")))
 
 
 def test_cli_map_and_tts_on_a_deep_sequence(capsys, tmp_path):
@@ -482,6 +488,60 @@ def test_cli_map_and_tts_on_a_deep_sequence(capsys, tmp_path):
     assert code == 0
     assert out == "{%s}\n" % ",".join(sorted("T%d" % i
                                                for i in range(1, 1201)))
+
+
+@pytest.mark.parametrize("argv", [
+    ("map", "--old", fx("fig8_old"), "--new", fx("fig8_new"),
+     "--format", "json"),
+    ("tts", "{tmp}/par-redo-3-6.json", "--marking", "e"),
+    # more than stdout's buffer holds: the write fails, not the flush
+    ("map", "--old", "{tmp}/sequence-1200.json",
+     "--new", "{tmp}/sequence-1200.json", "--format", "csv"),
+    ("--help",),
+], ids=["map-small", "tts-small", "map-large", "help"])
+def test_cli_closed_stdout_exits_2_with_one_write_error_line(tmp_path, argv):
+    """stdout is a pipe whose read end is closed before the spawn, as in
+    ``wfmig map ... | true``: one coded line, exit 2, and no traceback,
+    also none from the interpreter's last flush of stdout."""
+    (tmp_path / "par-redo-3-6.json").write_text(
+        serialize_net(par_redo_net(3, 6)), encoding="utf-8")
+    (tmp_path / "sequence-1200.json").write_text(
+        serialize_net(long_sequence_net(1200)), encoding="utf-8")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    # stdout block-buffered, as in a shell pipeline, so that small output
+    # is still unwritten when the command returns
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run([sys.executable, "-m", "wfmig.cli"] + argv,
+                             stdout=write, stderr=subprocess.PIPE,
+                             timeout=120, env=env)
+    finally:
+        os.close(write)
+    assert run.returncode == 2
+    assert run.stderr == b"WRITE_ERROR: cannot write stdout: Broken pipe\n"
+
+
+def test_cli_closed_stdout_in_process_reports_the_same_line(
+        capsys, monkeypatch):
+    """A caller's own stdout stream that fails: the same line, and main
+    asks it for no file descriptor."""
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def fileno(self):
+            raise AssertionError("fileno() called")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    code = main(["tts", fx("fig4"), "--marking", "P2"])
+    assert (code, capsys.readouterr().err) == (
+        2, "WRITE_ERROR: cannot write stdout: Broken pipe\n")
 
 
 def test_cli_output_is_deterministic(capsys):
@@ -521,9 +581,11 @@ BAD_INPUTS = {
     (("map", "--old", fx("sequence"), "--new", fx("sequence"),
       "--max-states", "0"),
      "wfmig map: error: argument --max-states: must be at least 1: '0'"),
-    (("oracle-tts", fx("sequence"), "--marking", "p2", "--max-states", "0"),
-     "wfmig oracle-tts: error: argument --max-states: must be at least 1: "
-     "'0'"),
+    # the reference oracle is not a command
+    (("oracle-tts", fx("fig4"), "--marking", "P2"),
+     "wfmig: error: argument {validate,reach,tts,map}: invalid choice: "
+     "'oracle-tts' (choose from 'validate', 'reach', 'tts', 'map', "
+     "'gen-net')"),
     (("gen-net", "--max-places", "1"),
      "wfmig gen-net: error: argument --max-places: must be at least 2: '1'"),
     (("gen-net", "--max-transitions", "0"),
@@ -549,8 +611,6 @@ BAD_INPUTS = {
     # an unset shell variable: an empty path is a path, not "no --dot"
     (("reach", fx("fig4"), "--dot", ""),
      "WRITE_ERROR: cannot write : No such file or directory"),
-    (("oracle-tts", fx("fig4"), "--marking", "P1", "--bound", "-3"),
-     "wfmig oracle-tts: error: argument --bound: must be at least 0: '-3'"),
     (("gen-net", "--loop-probability", "5"),
      "wfmig gen-net: error: argument --loop-probability: must be in [0, 1]: "
      "'5'"),
@@ -573,11 +633,11 @@ BAD_INPUTS = {
      "wfmig gen-net: error: argument --parallel-probability: invalid float "
      "value: 'x'"),
 ], ids=["validate-max-states-0", "reach-max-states-negative",
-        "tts-max-states-0", "map-max-states-0", "oracle-tts-max-states-0",
+        "tts-max-states-0", "map-max-states-0", "oracle-tts-not-a-command",
         "gen-net-max-places-1", "gen-net-max-transitions-0", "not-utf-8",
         "dot-unwritable", "deep-nesting", "id-is-a-place",
         "lone-surrogate", "place-name-whitespace", "repeated-arc",
-        "dot-empty-path", "oracle-tts-bound-negative",
+        "dot-empty-path",
         "gen-net-loop-probability-5", "gen-net-loop-probability-negative",
         "gen-net-loop-probability-inf", "gen-net-loop-probability-nan",
         "gen-net-parallel-probability-5", "gen-net-parallel-probability-nan",

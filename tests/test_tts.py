@@ -4,10 +4,12 @@ import pytest
 
 from wfmig import (build_reachability, expand_with_cycles, find_cycles,
                    find_simple_paths, keyed, purge, tts_all, tts_for_node)
+from wfmig.net import _reach
 from wfmig.oracle import GenParams, oracle_tts, random_wfnet
 from wfmig.tts import EdgeSet, attachable_cycles
 
-from conftest import families_by_key, par_redo_net, with_empty_transitions
+from conftest import (FIXTURE_NAMES, families_by_key, fixture_net,
+                      par_redo_net, with_empty_transitions)
 
 FIG4_P2_FAMILY = {
     frozenset({"T0"}),
@@ -250,3 +252,32 @@ def test_closure_matches_oracle_on_parallel_redo_net():
     g = keyed(g)
     for node in g.nodes:
         assert families[node] == oracle_tts(g, node), node
+
+
+# ---------------------------------------------------------------------------
+# tts_all with ``nodes``, as ``wfmig tts`` runs it, against the whole graph.
+
+def assert_ancestor_closure_matches_whole_graph(net):
+    """At every reachable marking, the closure over its ancestors alone
+    gives each ancestor the family the whole-graph closure gives it."""
+    g = build_reachability(net)
+    whole = tts_all(g, net.empty_labels)
+    pred = g.pred()
+    for node in g.nodes:
+        ancestors = _reach({node}, pred)
+        assert tts_all(g, net.empty_labels, nodes=ancestors) == {
+            n: whole[n] for n in sorted(ancestors)}, node
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_ancestor_closure_matches_whole_graph_on_fixtures(name):
+    assert_ancestor_closure_matches_whole_graph(fixture_net(name))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_ancestor_closure_matches_whole_graph_on_loop_nets(seed):
+    net = random_wfnet(GenParams(seed=seed, max_places=10,
+                                 max_transitions=12, loop_probability=0.5))
+    assert_ancestor_closure_matches_whole_graph(net)
+    assert_ancestor_closure_matches_whole_graph(
+        with_empty_transitions(net, seed))
