@@ -172,8 +172,17 @@ def _add_max_states(parser):
                              "many markings (default %d)" % DEFAULT_MAX_STATES)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Lets a failed ``--help`` write to stdout through, to ``main``."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            return file.write(message)
+        return super()._print_message(message, file)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wfmig",
         description="History-equivalence mapping between workflow nets "
                     "for dynamic process migration.")

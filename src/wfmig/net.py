@@ -7,14 +7,66 @@ the comma-joined sorted place names (``marking_key``), printed in braces
 operation here is a pure function.
 """
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import NetFormatError, NotEnabledError, UnsafeFiringError
 
 
 def _repeated(items):
     return min(item for item, n in Counter(items).items() if n > 1)
+
+
+def _scan(places, labels, arcs, initial):
+    """The name, arc and marking rules item by item, in the order their
+    faults are reported (``labels`` sorted): raises the first fault."""
+    place_set = frozenset(places)
+    unknown = frozenset(initial) - place_set
+    if unknown:
+        raise NetFormatError("initial marking names unknown place %r"
+                             % min(unknown), code="UNKNOWN_ENDPOINT")
+    if len(frozenset(initial)) < len(initial):
+        raise NetFormatError("initial marking lists place %r twice "
+                             "(nets are 1-bounded)" % _repeated(initial),
+                             code="PARSE_ERROR")
+    seen = set()
+    for kind, n in ([("place name", p) for p in places]
+                    + [("transition label", label) for label in labels]):
+        is_place = kind == "place name"
+        if not n:
+            raise NetFormatError("empty " + kind, code="PARSE_ERROR")
+        if "," in n:
+            # marking keys, --marking and tts lines are comma-joined
+            raise NetFormatError("%s contains ',': %r" % (kind, n),
+                                 code="PARSE_ERROR")
+        if is_place and n != n.strip():
+            # --marking arguments are stripped name by name
+            raise NetFormatError("place name has leading or trailing "
+                                 "whitespace: %r" % n, code="PARSE_ERROR")
+        if n.encode("utf-8", "replace").decode("utf-8") != n:
+            # a lone surrogate cannot be printed
+            raise NetFormatError("%s does not encode as UTF-8: %r"
+                                 % (kind, n), code="PARSE_ERROR")
+        if n in seen:
+            raise NetFormatError("duplicate %s: %r"
+                                 % (kind if is_place else "name", n),
+                                 code="DUPLICATE_NAME")
+        seen.add(n)
+    if len(frozenset(arcs)) < len(arcs):
+        raise NetFormatError("arc %r -> %r is listed twice (weighted arcs "
+                             "are not supported)" % _repeated(arcs),
+                             code="PARSE_ERROR")
+    for src, dst in sorted(arcs):
+        for end in (src, dst):
+            if end not in seen:
+                raise NetFormatError("arc endpoint %r is not a declared "
+                                     "place or transition" % end,
+                                     code="UNKNOWN_ENDPOINT")
+        if (src in place_set) == (dst in place_set):
+            raise NetFormatError("arc %r -> %r does not connect a place "
+                                 "with a transition" % (src, dst),
+                                 code="NON_BIPARTITE_ARC")
 
 
 def marking_key(marking):
@@ -59,103 +111,60 @@ class ValidationReport:
 class WFNet:
     """A workflow-net candidate: places, transitions, bipartite arcs.
 
-    The constructor owns the name, arc and marking rules, each checked once
-    as its data is read: an initial marking of declared places listed once;
-    place names and labels that are non-empty, unique, hold no ``,`` and
-    encode as UTF-8, place names without leading or trailing whitespace;
-    arcs listed once, with known and bipartite endpoints.  Workflow-net
-    structure (unique source/sink, every node on a source-to-sink path) is
-    checked by :func:`validate_structural` and reported, not raised.  Place
-    names and transition labels share one namespace, and one ``_pre`` and
-    one ``_post`` map over it hold the arcs: the nodes one arc before and
-    one arc after each place or label.
+    The constructor owns the name, arc and marking rules, each checked over
+    whole lists (``_scan`` only names a fault): an initial marking of
+    declared places listed once; place names and labels that are non-empty,
+    unique, hold no ``,`` and encode as UTF-8, place names without leading
+    or trailing whitespace; arcs listed once, with known and bipartite
+    endpoints.  Workflow-net structure is checked by
+    :func:`validate_structural` and reported, not raised.  Place names and
+    transition labels share one namespace, and one ``_pre`` and one
+    ``_post`` map over it hold the arcs: the nodes one arc before and one
+    arc after each place or label, in arc order.
     """
 
     def __init__(self, places, transitions, arcs, initial_marking=None, name=""):
         self.name = name
         places = list(places)
-        self.places = frozenset(places)
-        self.explicit_initial = initial_marking is not None
-        if self.explicit_initial:
-            initial_list = list(initial_marking)
-            initial_marking = frozenset(initial_list)
-            unknown = initial_marking - self.places
-            if unknown:
-                raise NetFormatError("initial marking names unknown place %r"
-                                     % min(unknown), code="UNKNOWN_ENDPOINT")
-            if len(initial_marking) < len(initial_list):
-                raise NetFormatError("initial marking lists place %r twice "
-                                     "(nets are 1-bounded)"
-                                     % _repeated(initial_list),
-                                     code="PARSE_ERROR")
-        trans = []
-        for t in transitions:
-            trans.append(t if isinstance(t, Transition) else Transition(str(t)))
-        self.transitions = tuple(sorted(trans, key=lambda t: t.label))
-
-        seen = set()
-        for kind, n in ([("place name", p) for p in places]
-                        + [("transition label", t.label)
-                           for t in self.transitions]):
-            is_place = kind == "place name"
-            if not n:
-                raise NetFormatError("empty " + kind, code="PARSE_ERROR")
-            if "," in n:
-                # marking keys, --marking and tts lines are comma-joined
-                raise NetFormatError("%s contains ',': %r" % (kind, n),
-                                     code="PARSE_ERROR")
-            if is_place and n != n.strip():
-                # --marking arguments are stripped name by name
-                raise NetFormatError("place name has leading or trailing "
-                                     "whitespace: %r" % n, code="PARSE_ERROR")
-            if n.encode("utf-8", "replace").decode("utf-8") != n:
-                # a lone surrogate cannot be printed
-                raise NetFormatError("%s does not encode as UTF-8: %r"
-                                     % (kind, n), code="PARSE_ERROR")
-            if n in seen:
-                raise NetFormatError("duplicate %s: %r"
-                                     % (kind if is_place else "name", n),
-                                     code="DUPLICATE_NAME")
-            seen.add(n)
-
-        self.labels = frozenset(t.label for t in self.transitions)
+        self.places = place_set = frozenset(places)
+        self.transitions = tuple(sorted(
+            [t if isinstance(t, Transition) else Transition(str(t))
+             for t in transitions], key=attrgetter("label")))
+        labels = [t.label for t in self.transitions]
+        self.labels = frozenset(labels)
         self.empty_labels = frozenset(t.label for t in self.transitions if t.is_empty)
-
         arcs = [tuple(a) for a in arcs]
         self.arcs = frozenset(arcs)
-        if len(self.arcs) < len(arcs):
-            raise NetFormatError("arc %r -> %r is listed twice (weighted arcs "
-                                 "are not supported)" % _repeated(arcs),
-                                 code="PARSE_ERROR")
-        pre = {n: set() for n in self.places | self.labels}
-        post = {n: set() for n in pre}
-        for src, dst in sorted(self.arcs):
-            for end in (src, dst):
-                if end not in pre:
-                    raise NetFormatError("arc endpoint %r is not a declared "
-                                         "place or transition" % end,
-                                         code="UNKNOWN_ENDPOINT")
-            if (src in self.places) == (dst in self.places):
-                raise NetFormatError("arc %r -> %r does not connect a place "
-                                     "with a transition" % (src, dst),
-                                     code="NON_BIPARTITE_ARC")
-            post[src].add(dst)
-            pre[dst].add(src)
-        self._pre = {n: frozenset(s) for n, s in pre.items()}
-        self._post = {n: frozenset(s) for n, s in post.items()}
-
+        self.explicit_initial = initial_marking is not None
+        initial = list(initial_marking) if self.explicit_initial else []
+        names = places + labels
+        joined = "".join(names)
+        self._pre = pre = {n: [] for n in names}
+        self._post = post = {n: [] for n in names}
+        if not (place_set.issuperset(initial)
+                and len(frozenset(initial)) == len(initial)
+                and len(pre) == len(names) and all(names)
+                and "," not in joined and list(map(str.strip, places)) == places
+                and joined.encode("utf-8", "replace").decode("utf-8") == joined
+                and len(self.arcs) == len(arcs)
+                and all((a in place_set) != (b in place_set)
+                        and a in pre and b in pre for a, b in arcs)):
+            _scan(places, labels, arcs, initial)
+        for src, dst in arcs:
+            post[src].append(dst)
+            pre[dst].append(src)
         if not self.explicit_initial:
             src = self.source_places()
-            initial_marking = frozenset(src) if len(src) == 1 else frozenset()
-        self.initial_marking = initial_marking
+            initial = src if len(src) == 1 else ()
+        self.initial_marking = frozenset(initial)
 
     def inputs(self, label):
         """Input places of a transition."""
-        return self._pre[label]
+        return frozenset(self._pre[label])
 
     def outputs(self, label):
         """Output places of a transition."""
-        return self._post[label]
+        return frozenset(self._post[label])
 
     def source_places(self):
         return {p for p in self.places if not self._pre[p]}
@@ -209,9 +218,9 @@ def _reach(start, step):
     """Nodes reachable from ``start`` in the arc digraph, where ``step``
     maps each place or transition to the nodes one arc away."""
     seen = set(start)
-    queue = deque(start)
-    while queue:
-        for nxt in step[queue.popleft()]:
+    queue = list(start)
+    for node in queue:      # the list grows as nodes are found
+        for nxt in step[node]:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -243,14 +252,11 @@ def validate_structural(net):
     if len(sources) == 1 and len(sinks) == 1:
         source, sink = sources[0], sinks[0]
         on_path = _reach({source}, net._post) & _reach({sink}, net._pre)
-        for elem in sorted(net.places | net.labels):
-            if elem in (source, sink):
-                continue
-            if elem not in on_path:
-                violations.append(Violation(
-                    "NOT_ON_PATH",
-                    "not on any directed path from %r to %r" % (source, sink),
-                    elem))
+        for elem in sorted(net._pre.keys() - on_path - {source, sink}):
+            violations.append(Violation(
+                "NOT_ON_PATH",
+                "not on any directed path from %r to %r" % (source, sink),
+                elem))
         if net.explicit_initial and net.initial_marking != frozenset({source}):
             violations.append(Violation(
                 "BAD_INITIAL_MARKING",

@@ -28,18 +28,18 @@ from .errors import NetFormatError
 from .net import Transition, WFNet, key_label
 
 
-def _expect(cond, message):
+def _expect(cond, message, code="PARSE_ERROR"):
     if not cond:
-        raise NetFormatError(message, code="PARSE_ERROR")
+        raise NetFormatError(message, code=code)
 
 
 def parse_net(text):
     """Parse a net document and build the net; workflow-structure
     validation is left to the caller.  This reads the document's shape and
-    resolves each arc endpoint once, a place to itself and a transition id
-    (never a label that is not also an id) to its label; ``WFNet`` checks
-    the name, arc and marking rules.  When a document has several faults,
-    which one is reported is not specified, but it is deterministic."""
+    resolves every arc endpoint in one comprehension, a place to itself and
+    a transition id (never a label that is not also an id) to its label;
+    ``WFNet`` checks the name, arc and marking rules.  Of several faults,
+    the one reported is not specified, but it is deterministic."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -59,7 +59,7 @@ def parse_net(text):
     _expect(isinstance(raw.get("arcs"), list), "'arcs' must be a list")
 
     places = raw["places"]
-    _expect(all(isinstance(p, str) and p for p in places),
+    _expect(set(map(type, places)) <= {str} and all(places),
             "place names must be non-empty strings")
 
     # arcs name places and transition ids alike: each endpoint maps to the
@@ -95,18 +95,7 @@ def parse_net(text):
         node_of[tid] = label
         transitions.append(Transition(label, empty))
 
-    arcs = []
-    for arc in raw["arcs"]:
-        _expect(isinstance(arc, list) and len(arc) == 2
-                and isinstance(arc[0], str) and isinstance(arc[1], str),
-                "arcs must be [from, to] name pairs (weighted arcs are not "
-                "supported)")
-        for end in arc:
-            if end not in node_of:
-                raise NetFormatError("arc endpoint %r is not a declared place "
-                                     "or transition" % end,
-                                     code="UNKNOWN_ENDPOINT")
-        arcs.append((node_of[arc[0]], node_of[arc[1]]))
+    arcs = _resolve(raw["arcs"], node_of)
 
     initial = raw.get("initial_marking")
     if initial is not None:
@@ -117,6 +106,32 @@ def parse_net(text):
     name = raw.get("name", "")
     _expect(isinstance(name, str), "'name' must be a string")
     return WFNet(places, transitions, arcs, initial_marking=initial, name=name)
+
+
+def _resolve(arcs, node_of):
+    """Every arc as the pair of nodes it names, in one comprehension; when
+    some arc is not a pair of names ``node_of`` holds, ``_scan`` names it."""
+    try:
+        if set(map(type, arcs)) <= {list}:
+            return [(node_of[a], node_of[b]) for a, b in arcs]
+    except (KeyError, TypeError, ValueError):   # unknown, unhashable, length
+        pass
+    return _scan(arcs, node_of)
+
+
+def _scan(arcs, node_of):
+    """``_resolve`` arc by arc, in order: raises for the first bad arc."""
+    resolved = []
+    for arc in arcs:
+        _expect(isinstance(arc, list) and len(arc) == 2
+                and isinstance(arc[0], str) and isinstance(arc[1], str),
+                "arcs must be [from, to] name pairs (weighted arcs are not "
+                "supported)")
+        for end in arc:
+            _expect(end in node_of, "arc endpoint %r is not a declared place "
+                    "or transition" % end, "UNKNOWN_ENDPOINT")
+        resolved.append((node_of[arc[0]], node_of[arc[1]]))
+    return resolved
 
 
 def serialize_net(net):

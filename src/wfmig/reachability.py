@@ -120,9 +120,9 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
     owned = {}                                  # lowest input bit -> ts
     for t, label in enumerate(labels):
         pre = post = 0
-        for p in net.inputs(label):
+        for p in net._pre[label]:
             pre |= bit[p]
-        for p in net.outputs(label):
+        for p in net._post[label]:
             post |= bit[p]
         pres.append(pre)
         posts.append(post)

@@ -6,21 +6,24 @@ import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wfmig import (GenParams, MappingTable, NetFormatError, Transition,
                    WFNet, build_reachability, find_equivalence_mapping, keyed,
                    parse_net, random_wfnet, serialize_net, to_dot)
-from wfmig import cli, reachability
+from wfmig import cli, netformat, reachability
 from wfmig.cli import main
+from wfmig.net import _scan as scan_net_rules
 from wfmig.netformat import emit_json, mapping_document
 from wfmig.oracle import oracle_tts
 
 from conftest import (FIXTURE_NAMES, GOLDEN, ROOT, SURROGATE, fixture_net,
                       fixture_path as fx, long_sequence_net, par_redo_net,
                       with_empty_transitions)
+from test_fuzz import net_documents
 
 # s -t-> " m" -u-> e: the middle place name starts with a space
 SPACED = ('{"places": ["s", " m", "e"], "transitions": ["t", "u"],'
@@ -217,6 +220,185 @@ def test_parse_errors(text, error):
     with pytest.raises(NetFormatError) as err:
         parse_net(text)
     assert "%s: %s" % (err.value.code, err.value) == error
+
+
+def _doc(places, transitions, arcs, **extra):
+    return json.dumps(dict(places=places, transitions=transitions, arcs=arcs,
+                           **extra))
+
+
+SEQ = [["s", "t"], ["t", "e"]]
+# Documents with two or more faults, each with the line reported for it, or
+# None for the two that are nets.  The fault named is the first one met by
+# reading the shape in document order (places, transitions, arcs, initial
+# marking, name) and then the net rules: the initial marking, the names
+# (places in order, then labels in sorted order), repeated arcs, then arcs
+# in sorted order; where a rule meets several items, the smallest is named.
+MULTI_FAULTS = [
+    (_doc(["s", "e"], ["t", 3], [["s", "t"], ["t"]]),
+     "PARSE_ERROR: transition entries must be strings or objects"),
+    (_doc(["s", "", "e"], "t", SEQ),
+     "PARSE_ERROR: 'transitions' must be a list"),
+    (_doc(["s", "e"], [{"id": "t", "x": 1}, {"id": ""}], SEQ),
+     "PARSE_ERROR: transition entry keys are id, label, empty"),
+    (_doc(["s", "e"], ["t", "t", {"id": "u", "label": ""}], SEQ),
+     "DUPLICATE_NAME: duplicate transition id 't'"),
+    (_doc(["s", "e"], ["t"], [["s", "x"], ["a"], ["t", "e", 2]]),
+     "UNKNOWN_ENDPOINT: arc endpoint 'x' is not a declared place or "
+     "transition"),
+    (_doc(["s", "e"], ["t"], SEQ, initial_marking="s", name=3),
+     "PARSE_ERROR: 'initial_marking' must be a list of place names"),
+    (_doc(["s", "m", "e"],
+          [{"id": "m", "label": "A"}, {"id": "u", "empty": 1}], SEQ),
+     "DUPLICATE_NAME: transition id 'm' is also a place name"),
+    (_doc(["s", "a,b", "e"], ["t", "t"], SEQ),
+     "DUPLICATE_NAME: duplicate transition id 't'"),
+    (_doc([" s", "e"], ["t"], [[" s", "t"], ["t", "e"], ["t", "e"]]),
+     "PARSE_ERROR: place name has leading or trailing whitespace: ' s'"),
+    (_doc(["s", "e", "s"], ["t"], SEQ, initial_marking=["zzz"], name=[]),
+     "PARSE_ERROR: 'name' must be a string"),
+    (_doc(["s", " a", "x,y", "e"], ["t"], SEQ),
+     "PARSE_ERROR: place name has leading or trailing whitespace: ' a'"),
+    (_doc(["s", "x,y", " a", "e"], ["t"], SEQ),
+     "PARSE_ERROR: place name contains ',': 'x,y'"),
+    (_doc(["s", "\ud800", "e"], ["z,z", "y"], [["s", "y"], ["y", "e"]]),
+     "PARSE_ERROR: place name does not encode as UTF-8: '\\ud800'"),
+    (_doc(["s", "e"], ["z,z", "a\ud800"], [["s", "z,z"], ["z,z", "e"]]),
+     "PARSE_ERROR: transition label does not encode as UTF-8: "
+     "'a\\ud800'"),
+    (_doc(["s", "t", "e"], ["t", "u,v"], SEQ),
+     "DUPLICATE_NAME: duplicate name: 't'"),
+    (_doc(["a", "a", "b,c"], ["t"], []),
+     "DUPLICATE_NAME: duplicate place name: 'a'"),
+    (_doc(["a", "b", "a"], ["b"], []),
+     "DUPLICATE_NAME: duplicate place name: 'a'"),
+    (_doc([" a", " a"], ["t"], []),
+     "PARSE_ERROR: place name has leading or trailing whitespace: ' a'"),
+    (_doc(["s", "e"], [{"id": "q", "label": "s"}, "x,y"],
+          [["s", "q"], ["q", "e"]]),
+     "DUPLICATE_NAME: duplicate name: 's'"),
+    (_doc(["s", "e"], ["", "t"], SEQ),
+     "PARSE_ERROR: transition id must be a non-empty string"),
+    (_doc(["s", "a,b", "e"], ["t"], SEQ, initial_marking=["zzz", "yyy"]),
+     "UNKNOWN_ENDPOINT: initial marking names unknown place 'yyy'"),
+    (_doc(["s", "e"], ["t"], SEQ, initial_marking=["s", "s", "zzz"]),
+     "UNKNOWN_ENDPOINT: initial marking names unknown place 'zzz'"),
+    (_doc(["s", "e", "m"], ["t"], SEQ, initial_marking=["e", "s", "e", "s"]),
+     "PARSE_ERROR: initial marking lists place 'e' twice (nets are "
+     "1-bounded)"),
+    (_doc(["s", "e,f"], ["t"], [["s", "e,f"], ["s", "e,f"]],
+          initial_marking=["s", "s"]),
+     "PARSE_ERROR: initial marking lists place 's' twice (nets are "
+     "1-bounded)"),
+    (_doc(["s", "e"], ["t"], [["s", "t"], ["t", "e"], ["s", "t"],
+                              ["s", "e"], ["s", "e"]]),
+     "PARSE_ERROR: arc 's' -> 'e' is listed twice (weighted arcs are not "
+     "supported)"),
+    (_doc(["s", "m", "e"], ["t", "u"], [["t", "u"], ["s", "e"], ["m", "e"],
+                                        ["s", "t"]]),
+     "NON_BIPARTITE_ARC: arc 'm' -> 'e' does not connect a place with a "
+     "transition"),
+    (_doc(["s", "e"], [{"id": "t1", "label": "A"}],
+          [["s", "t1"], ["s", "e"], ["t1", "A"]]),
+     "UNKNOWN_ENDPOINT: arc endpoint 'A' is not a declared place or "
+     "transition"),
+    (_doc(["s", "e"], ["t", "u"], [["u", "t"], ["e", "s"], ["s", "t"],
+                                   ["t", "e"]]),
+     "NON_BIPARTITE_ARC: arc 'e' -> 's' does not connect a place with a "
+     "transition"),
+    # a two-letter string or a two-key object unpacks like a pair
+    (_doc(["s", "e", "a,b"], ["t"], [["s", "t"], "te"]),
+     "PARSE_ERROR: arcs must be [from, to] name pairs (weighted arcs are not "
+     "supported)"),
+    (_doc(["s", "e"], ["t"], [["s", "t"], {"t": 1, "e": 2}, ["s", "t"]]),
+     "PARSE_ERROR: arcs must be [from, to] name pairs (weighted arcs are not "
+     "supported)"),
+    (_doc(["s", 3], [{"id": "t", "label": 5}], [["s"]]),
+     "PARSE_ERROR: place names must be non-empty strings"),
+    (_doc(["s", "e"], [{"id": "t", "label": 5, "empty": "x"}], SEQ),
+     "PARSE_ERROR: transition label must be a non-empty string"),
+    (_doc(["s", "e"], [{"id": "t", "label": "s"}], [["s", "t"], ["t", "x"]]),
+     "UNKNOWN_ENDPOINT: arc endpoint 'x' is not a declared place or "
+     "transition"),
+    (_doc(["s", "a,b", "e"],
+          [{"id": "a", "label": "X"}, {"id": "b", "label": "X"}],
+          [["s", "a"], ["a", "e"]]),
+     "PARSE_ERROR: place name contains ',': 'a,b'"),
+    # an id that is another transition's label names its own transition
+    (_doc(["s", "e"], [{"id": "a", "label": "b"}, {"id": "b", "label": "c"}],
+          [["s", "b"], ["b", "e"], ["s", "a"], ["a", "e"]]), None),
+    (_doc(["s", "e"], [{"id": "a", "label": "b", "empty": True}, "c"],
+          [["s", "a"], ["a", "e"], ["s", "c"], ["c", "e"]],
+          initial_marking=["s"], name="ok"), None),
+]
+
+
+def _outcome(text):
+    """The ``CODE: message`` line ``parse_net`` raises, or the net with
+    the fields its ``==`` leaves out."""
+    try:
+        net = parse_net(text)
+    except NetFormatError as exc:
+        return "%s: %s" % (exc.code, exc)
+    return net, net.name, net.explicit_initial, net.empty_labels
+
+
+def _scanned(text):
+    """``_outcome`` with the whole-list checks skipped: the ordered scans of
+    the arcs and of the net rules read the document and name its fault."""
+    def scanned_net(places, transitions, arcs, initial_marking=None,
+                    name=""):
+        scan_net_rules(places, sorted(t.label for t in transitions), arcs,
+                       list(initial_marking or ()))
+        return WFNet(places, transitions, arcs, initial_marking, name)
+
+    with mock.patch.object(netformat, "_resolve", netformat._scan), \
+            mock.patch.object(netformat, "WFNet", scanned_net):
+        return _outcome(text)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(net_documents())
+@example(SURROGATE)
+def test_whole_list_checks_agree_with_the_ordered_scan(text):
+    assert _outcome(text) == _scanned(text)
+
+
+def test_whole_list_checks_agree_on_every_fault_document():
+    for text, line in PARSE_ERRORS + MULTI_FAULTS:
+        got = _outcome(text)
+        assert got == _scanned(text)
+        if line is not None:
+            assert got == line
+    assert [got[1] for got in map(_outcome, [
+        text for text, line in MULTI_FAULTS if line is None])] == ["", "ok"]
+
+
+def test_reported_fault_is_the_same_under_every_hash_seed(tmp_path):
+    """``wfmig validate`` on each multi-fault document, in one process per
+    hash seed: stdout, stderr and the exit codes match byte for byte."""
+    paths = []
+    for i, (text, _) in enumerate(MULTI_FAULTS):
+        paths.append(str(tmp_path / ("%d.json" % i)))
+        with open(paths[-1], "w", encoding="utf-8") as handle:
+            handle.write(text)
+    script = ("import sys\n"
+              "from wfmig.cli import main\n"
+              "for path in sys.argv[1:]:\n"
+              "    print(main(['validate', path]), flush=True)\n"
+              "    print('--', file=sys.stderr, flush=True)\n")
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                   PYTHONHASHSEED=seed)
+        runs.append(subprocess.run([sys.executable, "-c", script] + paths,
+                                   capture_output=True, timeout=120, env=env))
+    assert runs[0].returncode == 0
+    assert (runs[0].stdout, runs[0].stderr) == (runs[1].stdout,
+                                                runs[1].stderr)
+    errors = runs[0].stderr.decode("utf-8").split("--\n")
+    assert errors == ["%s\n" % line if line else ""
+                      for _, line in MULTI_FAULTS] + [""]
 
 
 def test_parse_error_reports_position():
@@ -490,16 +672,19 @@ def test_cli_map_and_tts_on_a_deep_sequence(capsys, tmp_path):
                                                for i in range(1, 1201)))
 
 
-@pytest.mark.parametrize("argv", [
-    ("map", "--old", fx("fig8_old"), "--new", fx("fig8_new"),
-     "--format", "json"),
-    ("tts", "{tmp}/par-redo-3-6.json", "--marking", "e"),
+@pytest.mark.parametrize("python,argv", [
+    ((), ("map", "--old", fx("fig8_old"), "--new", fx("fig8_new"),
+          "--format", "json")),
+    ((), ("tts", "{tmp}/par-redo-3-6.json", "--marking", "e")),
     # more than stdout's buffer holds: the write fails, not the flush
-    ("map", "--old", "{tmp}/sequence-1200.json",
-     "--new", "{tmp}/sequence-1200.json", "--format", "csv"),
-    ("--help",),
-], ids=["map-small", "tts-small", "map-large", "help"])
-def test_cli_closed_stdout_exits_2_with_one_write_error_line(tmp_path, argv):
+    ((), ("map", "--old", "{tmp}/sequence-1200.json",
+          "--new", "{tmp}/sequence-1200.json", "--format", "csv")),
+    ((), ("--help",)),
+    # unbuffered, argparse's own write of the help text is the one to fail
+    (("-u",), ("--help",)),
+], ids=["map-small", "tts-small", "map-large", "help", "help-unbuffered"])
+def test_cli_closed_stdout_exits_2_with_one_write_error_line(tmp_path, python,
+                                                             argv):
     """stdout is a pipe whose read end is closed before the spawn, as in
     ``wfmig map ... | true``: one coded line, exit 2, and no traceback,
     also none from the interpreter's last flush of stdout."""
@@ -508,14 +693,15 @@ def test_cli_closed_stdout_exits_2_with_one_write_error_line(tmp_path, argv):
     (tmp_path / "sequence-1200.json").write_text(
         serialize_net(long_sequence_net(1200)), encoding="utf-8")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    # stdout block-buffered, as in a shell pipeline, so that small output
-    # is still unwritten when the command returns
+    # stdout block-buffered unless -u, as in a shell pipeline, so that
+    # small output is still unwritten when the command returns
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(ROOT / "src")
     read, write = os.pipe()
     os.close(read)
     try:
-        run = subprocess.run([sys.executable, "-m", "wfmig.cli"] + argv,
+        run = subprocess.run([sys.executable, *python, "-m", "wfmig.cli"]
+                             + argv,
                              stdout=write, stderr=subprocess.PIPE,
                              timeout=120, env=env)
     finally:

@@ -1,10 +1,10 @@
 import pytest
 
-from wfmig import (NetFormatError, NotEnabledError, Transition,
-                   UnsafeFiringError, WFNet, enabled, fire,
+from wfmig import (GenParams, NetFormatError, NotEnabledError, Transition,
+                   UnsafeFiringError, WFNet, enabled, fire, random_wfnet,
                    validate_structural)
 
-from conftest import fixture_net
+from conftest import FIXTURE_NAMES, fixture_net, par_redo_net
 
 
 def test_sequence_net_is_valid(sequence_net):
@@ -149,3 +149,24 @@ def test_empty_transitions_fire_like_ordinary_ones():
                 arcs=[("p1", "e"), ("e", "p2")])
     assert net.empty_labels == {"e"}
     assert fire(net, frozenset({"p1"}), "e") == {"p2"}
+
+
+def test_grouped_arcs_match_the_arc_list():
+    """The presets and postsets the constructor groups, read through the
+    public methods and directly, hold what ``net.arcs`` says, once each."""
+    nets = [fixture_net(name) for name in FIXTURE_NAMES]
+    nets += [par_redo_net(k, n) for k, n in [(1, 1), (2, 2), (3, 6)]]
+    nets += [random_wfnet(GenParams(seed=seed)) for seed in range(50)]
+    for net in nets:
+        for label in net.labels:
+            assert net.inputs(label) == {a for a, b in net.arcs if b == label}
+            assert net.outputs(label) == {b for a, b in net.arcs
+                                          if a == label}
+        assert net.source_places() == net.places - {b for _, b in net.arcs}
+        assert net.sink_places() == net.places - {a for a, _ in net.arcs}
+        assert set(net._pre) == set(net._post) == net.places | net.labels
+        for node in net._pre:
+            assert sorted(net._pre[node]) == sorted(a for a, b in net.arcs
+                                                    if b == node)
+            assert sorted(net._post[node]) == sorted(b for a, b in net.arcs
+                                                     if a == node)
