@@ -5,8 +5,7 @@ from .errors import (BoundTooSmallError, NetFormatError, NotEnabledError,
                      WfmigError)
 from .net import (Transition, ValidationReport, Violation, WFNet, enabled,
                   fire, marking_key, validate_structural)
-from .reachability import (KeyedGraph, RGEdge, ReachGraph,
-                           build_reachability, keyed, to_dot,
+from .reachability import (ReachGraph, build_reachability, to_dot,
                            validate_behavioral)
 from .tts import (Cycle, EdgeSet, attachable_cycles, expand_with_cycles,
                   find_cycles, find_simple_paths, tts_all, tts_for_node)

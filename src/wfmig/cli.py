@@ -6,7 +6,7 @@ read or parsed, or a ``--dot`` file or stdout that cannot be written (a
 closed pipe included).  Diagnostics go to stderr, data to stdout, and all
 output is byte-deterministic for equal inputs and flags.  Every command
 runs the production engines only; the reference code (the paper's
-fixpoint, the oracle, ``reachability.keyed``) is for the tests.
+fixpoint, the oracle) reads the same graph and is for the tests.
 """
 
 import argparse
@@ -102,9 +102,9 @@ def cmd_tts(args):
     ignore = frozenset() if args.keep_empty else net.empty_labels
     ancestors = _reach({node}, graph.pred())
     family = tts.tts_all(graph, ignore, nodes=ancestors)[node]
-    for member in sorted((reachability.mask_names(graph.labels, member)
-                          for member in family), key=sorted):
-        print(key_label(marking_key(member)))
+    for labels in sorted(reachability.mask_names(graph.labels, member)
+                         for member in family):
+        print(key_label(",".join(labels)))
     return 0
 
 

@@ -1,9 +1,9 @@
 """Brute-force ground truth and a random sound-net generator.
 
-``oracle_tts`` enumerates bounded firing walks directly on the reachability
-graph and collects their label sets.  It deliberately shares no code with
-the seed-path/cycle machinery it is used to check; the only graph features
-it relies on are the adjacency lists.
+``oracle_tts`` enumerates bounded firing walks directly on the int
+reachability graph and collects their label sets.  It deliberately shares
+no code with the seed-path/cycle machinery it is used to check; the only
+graph features it relies on are the CSR out-edges and ``pred``.
 """
 
 import random
@@ -11,6 +11,11 @@ from dataclasses import dataclass
 
 from .errors import BoundTooSmallError
 from .net import Transition, WFNet, key_label
+
+
+def _targets(graph, node):
+    """Destination ids of the node's out-edges, one per edge."""
+    return graph.dst[graph.off[node]:graph.off[node + 1]]
 
 
 def _components(graph):
@@ -22,13 +27,13 @@ def _components(graph):
         if root in seen:
             continue
         seen.add(root)
-        stack = [(root, iter(graph.succ[root]))]
+        stack = [(root, iter(_targets(graph, root)))]
         while stack:
             node, rest = stack[-1]
-            for edge in rest:
-                if edge.dst not in seen:
-                    seen.add(edge.dst)
-                    stack.append((edge.dst, iter(graph.succ[edge.dst])))
+            for nxt in rest:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(_targets(graph, nxt))))
                     break
             else:
                 stack.pop()
@@ -56,17 +61,17 @@ def _cycle_length_total(graph):
     connected component, so no other component is entered."""
     component = _components(graph)
     total = 0
-    for start in sorted(graph.nodes):
+    for start in graph.nodes:
         own = component[start]
         stack = [(start, frozenset())]
         while stack:
             node, on_path = stack.pop()
-            for edge in graph.succ[node]:
-                if edge.dst == start:
+            for nxt in _targets(graph, node):
+                if nxt == start:
                     total += len(on_path) + 1
-                elif (edge.dst > start and edge.dst not in on_path
-                      and component[edge.dst] == own):
-                    stack.append((edge.dst, on_path | {edge.dst}))
+                elif (nxt > start and nxt not in on_path
+                      and component[nxt] == own):
+                    stack.append((nxt, on_path | {nxt}))
     return total
 
 
@@ -81,9 +86,9 @@ def _longest_simple_path(graph, target):
             # elementary paths end at their first arrival
             best = max(best, len(on_path) - 1)
             continue
-        for edge in graph.succ[node]:
-            if edge.dst not in on_path:
-                stack.append((edge.dst, on_path | {edge.dst}))
+        for nxt in _targets(graph, node):
+            if nxt not in on_path:
+                stack.append((nxt, on_path | {nxt}))
     return best
 
 
@@ -112,8 +117,9 @@ def oracle_tts(graph, node, bound=None):
     elif bound < needed:
         raise BoundTooSmallError(
             "bound %d is below the sufficiency bound %d for node %s"
-            % (bound, needed, key_label(node)))
+            % (bound, needed, key_label(graph.key(node))))
 
+    names, off, lab, dst = graph.labels, graph.off, graph.lab, graph.dst
     found = set()
     best = {}  # (node, labelset) -> largest remaining budget seen
     stack = [(graph.initial, frozenset(), bound)]
@@ -127,8 +133,9 @@ def oracle_tts(graph, node, bound=None):
             found.add(labels)
         if budget == 0:
             continue
-        for edge in graph.succ[here]:
-            stack.append((edge.dst, labels | {edge.label}, budget - 1))
+        for edge in range(off[here], off[here + 1]):
+            stack.append((dst[edge], labels | {names[lab[edge]]},
+                          budget - 1))
     return frozenset(found)
 
 

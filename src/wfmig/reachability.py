@@ -8,10 +8,10 @@ most one edge per source, so each source's edges come out in strictly
 increasing label order and equal nets always produce identical graphs.
 
 A node's key (``marking_key``: its places, comma-joined; names cannot
-contain ``,``) is its only text form, built on demand where output or a
-``--marking`` lookup needs it.  ``keyed`` gives the whole graph in key
-form, with ``RGEdge`` triples, for the reference code (the paper's
-fixpoint, the oracle) and the tests.
+contain ``,``) is its only text form, built on demand where output, an
+error message or a ``--marking`` lookup needs it.  This one form is the
+graph every reader walks: the engines, and the reference code the tests
+check them against (the paper's fixpoint, the oracle).
 
 The breadth-first search plays the token game on ints: each transition has
 a ``pre`` and a ``post`` mask, is enabled at marking ``m`` when
@@ -25,7 +25,6 @@ break 1-boundedness is reported here, with the same message.
 """
 
 from bisect import bisect_left
-from typing import NamedTuple
 
 from .errors import StateLimitError, UnsafeNetError
 from .net import ValidationReport, Violation, _reach, key_label
@@ -169,48 +168,6 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
     sinks = net.sink_places()
     terminal = index.get(bit[min(sinks)]) if len(sinks) == 1 else None
     return ReachGraph(places, labels, masks, off, lab, dst, terminal)
-
-
-class RGEdge(NamedTuple):
-    """One labeled marking transition; identity and order are the triple's."""
-
-    src: str
-    label: str
-    dst: str
-
-
-class KeyedGraph(NamedTuple):
-    """A reachability graph in key form (see ``keyed``)."""
-
-    nodes: tuple            # node keys in first-discovered order
-    edges: tuple            # RGEdge in discovery order
-    initial: str
-    terminal: str           # key of the {sink} marking, or None
-    succ: dict              # key -> tuple of outgoing RGEdge
-
-    def pred(self):
-        """Predecessor keys of each key, computed on demand."""
-        back = {n: [] for n in self.nodes}
-        for src, _, dst in self.edges:
-            back[dst].append(src)
-        return back
-
-
-def keyed(graph):
-    """The graph with key strings for nodes and ``RGEdge`` triples for
-    edges, for the reference code and the tests; the commands that
-    validate, export and map never build it."""
-    keys = graph.keys()
-    labels, off, lab, dst = graph.labels, graph.off, graph.lab, graph.dst
-    succ = {key: tuple(RGEdge(key, labels[lab[e]], keys[dst[e]])
-                       for e in range(off[node], off[node + 1]))
-            for node, key in enumerate(keys)}
-    return KeyedGraph(
-        nodes=tuple(keys),
-        edges=tuple(e for out in succ.values() for e in out),
-        initial=keys[graph.initial],
-        terminal=None if graph.terminal is None else keys[graph.terminal],
-        succ=succ)
 
 
 def validate_behavioral(net, graph):

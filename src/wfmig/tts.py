@@ -13,26 +13,27 @@ only to print them (``reachability.mask_names``).
 
 The paper's construction stays as the reference the tests check: elementary
 seed paths absorb every elementary cycle touching a node already covered,
-until a fixpoint (``tts_for_node``).  It reads the key form of the graph,
-``reachability.keyed(graph)``, and gives frozensets of label strings.
+until a fixpoint (``tts_for_node``).  It walks the same int graph by node
+and edge id, a path or a cycle being a tuple of edge ids, and gives
+frozensets of label strings.
 """
 
 from dataclasses import dataclass
 
 
+def label_set(graph, edges):
+    """The labels the edge ids fire, as a frozenset of strings."""
+    labels, lab = graph.labels, graph.lab
+    return frozenset(labels[lab[e]] for e in edges)
+
+
 @dataclass(frozen=True)
 class Cycle:
-    """An elementary circuit, stored in canonical rotation: the first edge
-    leaves the lexicographically smallest node on the cycle."""
+    """An elementary circuit: its edge ids in canonical rotation, the first
+    edge leaving the smallest node id on the cycle, and its node ids."""
 
     edges: tuple
-
-    @property
-    def node_set(self):
-        return frozenset(e.src for e in self.edges)
-
-    def label_set(self):
-        return frozenset(e.label for e in self.edges)
+    node_set: frozenset
 
 
 @dataclass(frozen=True)
@@ -47,46 +48,42 @@ class EdgeSet:
     nodes: frozenset
 
     @classmethod
-    def from_path(cls, path, start):
-        nodes = {start}
-        for e in path:
-            nodes.add(e.src)
-            nodes.add(e.dst)
-        return cls(frozenset(path), frozenset(nodes))
+    def from_path(cls, graph, path, start):
+        return cls(frozenset(path),
+                   frozenset([start] + [graph.dst[e] for e in path]))
 
     def absorb(self, cycle):
         return EdgeSet(self.edges | frozenset(cycle.edges),
                        self.nodes | cycle.node_set)
 
-    def label_set(self):
-        return frozenset(e.label for e in self.edges)
-
 
 def find_simple_paths(graph, src, dst):
     """All elementary (node-repetition-free) directed paths from src to dst.
 
-    Deterministic order: depth-first, successors taken in sorted
-    (label, destination) order.  ``src == dst`` yields exactly the empty path.
+    Deterministic order: depth-first, each node's edges taken in CSR order,
+    which is label order.  ``src == dst`` yields exactly the empty path.
     """
     paths = []
     if src == dst:
         paths.append(())
         return paths
 
+    off, to = graph.off, graph.dst
     path = []
     on_path = {src}
 
     def walk(node):
-        for edge in sorted(graph.succ[node], key=lambda e: (e.label, e.dst)):
-            if edge.dst in on_path:
+        for edge in range(off[node], off[node + 1]):
+            nxt = to[edge]
+            if nxt in on_path:
                 continue
             path.append(edge)
-            if edge.dst == dst:
+            if nxt == dst:
                 paths.append(tuple(path))
             else:
-                on_path.add(edge.dst)
-                walk(edge.dst)
-                on_path.discard(edge.dst)
+                on_path.add(nxt)
+                walk(nxt)
+                on_path.discard(nxt)
             path.pop()
 
     walk(src)
@@ -96,25 +93,28 @@ def find_simple_paths(graph, src, dst):
 def find_cycles(graph):
     """All elementary circuits of the graph, each in canonical rotation.
 
-    Path-extension enumeration: for each node in sorted order, grow
-    elementary paths through strictly larger nodes only, closing back to the
-    start node.  Parallel edges with different labels yield distinct cycles;
-    a self-loop edge is a length-1 cycle.
+    Path-extension enumeration: from each node, grow elementary paths
+    through strictly larger node ids only, closing back to the start node.
+    Parallel edges with different labels yield distinct cycles; a self-loop
+    edge is a length-1 cycle.
     """
+    off, dst = graph.off, graph.dst
     cycles = set()
-    for start in sorted(graph.nodes):
+    for start in graph.nodes:
         path = []
         on_path = {start}
 
         def walk(node):
-            for edge in sorted(graph.succ[node], key=lambda e: (e.label, e.dst)):
-                if edge.dst == start:
-                    cycles.add(Cycle(tuple(path) + (edge,)))
-                elif edge.dst > start and edge.dst not in on_path:
+            for edge in range(off[node], off[node + 1]):
+                nxt = dst[edge]
+                if nxt == start:
+                    cycles.add(Cycle(tuple(path) + (edge,),
+                                     frozenset(on_path)))
+                elif nxt > start and nxt not in on_path:
                     path.append(edge)
-                    on_path.add(edge.dst)
-                    walk(edge.dst)
-                    on_path.discard(edge.dst)
+                    on_path.add(nxt)
+                    walk(nxt)
+                    on_path.discard(nxt)
                     path.pop()
 
         walk(start)
@@ -133,8 +133,7 @@ def expand_with_cycles(seeds, cycles):
     union, and candidates already seen are never re-enqueued, so the run
     terminates inside the finite powerset of edges.
     """
-    ordered_cycles = sorted(
-        cycles, key=lambda c: [(e.src, e.label, e.dst) for e in c.edges])
+    ordered_cycles = sorted(cycles, key=lambda c: c.edges)
     seen = set(seeds)
     worklist = list(seeds)
     while worklist:
@@ -153,10 +152,10 @@ def tts_for_node(graph, node, cycles=None):
     """The complete TTS family of one node, as a frozenset of frozensets."""
     if cycles is None:
         cycles = find_cycles(graph)
-    seeds = [EdgeSet.from_path(p, graph.initial)
+    seeds = [EdgeSet.from_path(graph, p, graph.initial)
              for p in find_simple_paths(graph, graph.initial, node)]
     expanded = expand_with_cycles(seeds, cycles)
-    return frozenset(es.label_set() for es in expanded)
+    return frozenset(label_set(graph, es.edges) for es in expanded)
 
 
 def tts_all(graph, ignore=frozenset(), order=None, nodes=None):

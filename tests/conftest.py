@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from wfmig import (Transition, WFNet, build_reachability, keyed, parse_net,
-                   purge, tts_all)
+from wfmig import (Transition, WFNet, build_reachability, parse_net, purge,
+                   tts_all)
 from wfmig.oracle import oracle_tts
 from wfmig.reachability import mask_names
 
@@ -60,24 +60,26 @@ def with_empty_transitions(net, seed, share=0.3):
 def oracle_mapping(old_net, new_net):
     """Brute-force ground truth for ``find_equivalence_mapping``: each old
     marking against every new marking whose purged ``oracle_tts`` family
-    shares a member with its own."""
-    old_g = keyed(build_reachability(old_net))
-    new_g = keyed(build_reachability(new_net))
-    old_fams = {n: purge(oracle_tts(old_g, n), old_net.empty_labels)
-                for n in old_g.nodes}
-    new_fams = {n: purge(oracle_tts(new_g, n), new_net.empty_labels)
-                for n in new_g.nodes}
-    return {n: {m for m in new_g.nodes if new_fams[m] & old_fams[n]}
+    shares a member with its own, both named by key as the table names
+    them."""
+    old_g = build_reachability(old_net)
+    new_g = build_reachability(new_net)
+    old_fams = [purge(oracle_tts(old_g, n), old_net.empty_labels)
+                for n in old_g.nodes]
+    new_fams = [purge(oracle_tts(new_g, n), new_net.empty_labels)
+                for n in new_g.nodes]
+    old_keys, new_keys = old_g.keys(), new_g.keys()
+    return {old_keys[n]: {new_keys[m] for m in new_g.nodes
+                          if new_fams[m] & old_fams[n]}
             for n in old_g.nodes}
 
 
-def families_by_key(graph, ignore=frozenset()):
-    """``tts_all``'s families as the reference code and the oracle give
-    them: by node key instead of by node id, and each member decoded from
-    its label mask to a frozenset of labels."""
-    keys = graph.keys()
-    return {keys[node]: frozenset(frozenset(mask_names(graph.labels, member))
-                                  for member in family)
+def label_families(graph, ignore=frozenset()):
+    """``tts_all``'s families by node id, each member decoded from its
+    label mask to a frozenset of labels, as the reference code and the
+    oracle give them."""
+    return {node: frozenset(frozenset(mask_names(graph.labels, member))
+                            for member in family)
             for node, family in tts_all(graph, ignore).items()}
 
 

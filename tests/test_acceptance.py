@@ -6,15 +6,15 @@ import time
 import pytest
 
 from wfmig import (build_reachability, change_region,
-                   find_equivalence_mapping, keyed, tts_for_node,
+                   find_equivalence_mapping, tts_for_node,
                    validate_behavioral, validate_structural)
 from wfmig.cli import main
 from wfmig.oracle import GenParams, oracle_tts, random_wfnet
 from wfmig.tts import EdgeSet, attachable_cycles, find_cycles, \
-    find_simple_paths
+    find_simple_paths, label_set
 
-from conftest import (FIXTURE_NAMES, families_by_key, fixture_net,
-                      fixture_path as fx, oracle_mapping)
+from conftest import (FIXTURE_NAMES, fixture_net, fixture_path as fx,
+                      label_families, oracle_mapping)
 
 
 class _Criterion:
@@ -55,16 +55,18 @@ def test_criterion_1_fig4_tts(capsys):
 
 def test_criterion_2_fig6_fixpoint():
     with _Criterion(2, "fig6 fixpoint reproduction", 1):
-        graph = keyed(build_reachability(fixture_net("fig6")))
+        graph = build_reachability(fixture_net("fig6"))
+        p1 = graph.keys().index("P1")
         cycles = find_cycles(graph)
-        (seed,) = [EdgeSet.from_path(p, graph.initial)
-                   for p in find_simple_paths(graph, graph.initial, "P1")]
-        first_round = {c.label_set() for c in attachable_cycles(seed, cycles)}
+        (seed,) = [EdgeSet.from_path(graph, p, graph.initial)
+                   for p in find_simple_paths(graph, graph.initial, p1)]
+        first_round = {label_set(graph, c.edges)
+                       for c in attachable_cycles(seed, cycles)}
         assert first_round == {
             frozenset({"T3", "T4", "T5", "T6", "T7", "T1"}),
             frozenset({"T3", "T4", "T5", "T10", "T11", "T14", "T7", "T1"}),
         }
-        family = tts_for_node(graph, "P1", cycles)
+        family = tts_for_node(graph, p1, cycles)
         expected = {frozenset(s) for s in [
             {"T0"},
             {"T0", "T1", "T3", "T4", "T5", "T6", "T7"},
@@ -123,8 +125,7 @@ def test_criterion_4_oracle_equivalence():
             graph = build_reachability(net)
             if len(graph.nodes) > 12:
                 continue
-            families = families_by_key(graph)
-            graph = keyed(graph)
+            families = label_families(graph)
             for node in graph.nodes:
                 assert families[node] == oracle_tts(graph, node), (seed, node)
             checked += 1

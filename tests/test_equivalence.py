@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wfmig import (Transition, WFNet, build_reachability, change_region,
-                   find_equivalence_mapping, keyed, purge, tts_all)
+                   find_equivalence_mapping, purge, tts_all)
 from wfmig.oracle import GenParams, random_wfnet
 from wfmig.reachability import mask_names
 
@@ -60,8 +60,8 @@ def test_table_1_change_region():
 
 
 def test_old_net_marking_count():
-    g = keyed(build_reachability(fixture_net("fig8_old")))
-    assert sorted(g.nodes) == sorted(TABLE_1)
+    g = build_reachability(fixture_net("fig8_old"))
+    assert sorted(g.keys()) == sorted(TABLE_1)
 
 
 def test_identity_migration(fig4_net, sequence_net):
@@ -123,9 +123,9 @@ def test_initials_match_when_acyclic_and_no_empties():
     a = random_wfnet(GenParams(seed=3, loop_probability=0.0))
     b = random_wfnet(GenParams(seed=4, loop_probability=0.0))
     table = find_equivalence_mapping(a, b)
-    ga = keyed(build_reachability(a))
-    gb = keyed(build_reachability(b))
-    assert gb.initial in dict(table.rows)[ga.initial]
+    ga = build_reachability(a)
+    gb = build_reachability(b)
+    assert gb.key(gb.initial) in dict(table.rows)[ga.key(ga.initial)]
 
 
 def test_rows_are_sorted():

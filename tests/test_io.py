@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wfmig import (GenParams, MappingTable, NetFormatError, Transition,
-                   WFNet, build_reachability, find_equivalence_mapping, keyed,
+                   WFNet, build_reachability, find_equivalence_mapping,
                    parse_net, random_wfnet, serialize_net, to_dot)
-from wfmig import cli, netformat, reachability
+from wfmig import cli, netformat
 from wfmig.cli import main
 from wfmig.net import _scan as scan_net_rules
 from wfmig.netformat import emit_json, mapping_document
@@ -92,13 +92,16 @@ def test_round_trip_and_dot_on_arbitrary_names(net):
     assert serialize_net(parse_net(text)) == text
     graph = build_reachability(net)
     lines = to_dot(graph).splitlines()[1:-1]
-    graph = keyed(graph)
+    keys = graph.keys()
+    edges = [(keys[node], graph.labels[graph.lab[e]], keys[graph.dst[e]])
+             for node in graph.nodes
+             for e in range(graph.off[node], graph.off[node + 1])]
     quoted = [[re.sub(r"\\(.)", r"\1", q) for q in QUOTED.findall(line)]
               for line in lines]
     assert quoted == (
-        [["{%s}" % key] for key in sorted(graph.nodes)]
+        [["{%s}" % key] for key in sorted(keys)]
         + [["{%s}" % src, "{%s}" % dst, label]
-           for src, label, dst in sorted(graph.edges)])
+           for src, label, dst in sorted(edges)])
 
 
 def test_emit_json_writes_what_json_dumps_writes():
@@ -630,33 +633,11 @@ def test_cli_hidden_gen_net_roundtrip(capsys):
 
 def test_cli_tts_agrees_with_the_oracle(capsys):
     code, out, err = run_cli(capsys, "tts", fx("fig4"), "--marking", "P2")
-    family = oracle_tts(keyed(build_reachability(fixture_net("fig4"))),
-                        "P2")
+    graph = build_reachability(fixture_net("fig4"))
+    family = oracle_tts(graph, graph.keys().index("P2"))
     assert (code, err) == (0, "")
-    assert out == "".join("{%s}\n" % ",".join(sorted(member))
-                          for member in sorted(family, key=sorted))
-
-
-def test_cli_commands_never_build_the_key_form(capsys, tmp_path,
-                                              monkeypatch):
-    """validate, reach --dot, tts and map read the int graph; no command
-    builds ``keyed(graph)``, the reference code's form."""
-    def refuse(graph):
-        raise AssertionError("keyed() called")
-
-    runs = []
-    for name in FIXTURE_NAMES:
-        runs.append(["validate", fx(name)])
-        runs.append(["reach", fx(name), "--dot", str(tmp_path / "g.dot")])
-        for fmt in ("table", "json", "csv"):
-            runs.append(["map", "--old", fx(name), "--new", fx("fig8_new"),
-                             "--format", fmt])
-    runs.append(["tts", fx("fig4"), "--marking", "P2"])
-    outputs = [run_cli(capsys, *argv) for argv in runs]
-    monkeypatch.setattr(reachability, "keyed", refuse)
-    assert [run_cli(capsys, *argv) for argv in runs] == outputs
-    with pytest.raises(AssertionError, match="keyed"):  # the patch took
-        reachability.keyed(build_reachability(fixture_net("fig4")))
+    assert out == "".join("{%s}\n" % ",".join(member)
+                          for member in sorted(sorted(m) for m in family))
 
 
 def test_cli_map_and_tts_on_a_deep_sequence(capsys, tmp_path):

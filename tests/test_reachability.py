@@ -2,10 +2,9 @@ from collections import deque
 
 import pytest
 
-from wfmig import (KeyedGraph, NetFormatError, RGEdge, StateLimitError,
-                   UnsafeFiringError, UnsafeNetError, WFNet,
-                   build_reachability, enabled, fire, keyed, marking_key,
-                   to_dot, validate_behavioral)
+from wfmig import (NetFormatError, StateLimitError, UnsafeFiringError,
+                   UnsafeNetError, WFNet, build_reachability, enabled, fire,
+                   marking_key, to_dot, validate_behavioral)
 from wfmig.oracle import GenParams, random_wfnet
 from wfmig.reachability import DEFAULT_MAX_STATES
 
@@ -14,12 +13,12 @@ from conftest import (FIXTURE_NAMES, GOLDEN, fixture_net, long_sequence_net,
 
 
 def test_sequence_graph(sequence_net):
-    g = keyed(build_reachability(sequence_net))
-    assert g.nodes == ("p1", "p2", "p3")
-    assert [(e.src, e.label, e.dst) for e in g.edges] == [
-        ("p1", "T0", "p2"), ("p2", "T1", "p3")]
-    assert g.initial == "p1"
-    assert g.terminal == "p3"
+    g = build_reachability(sequence_net)
+    assert g.keys() == ["p1", "p2", "p3"]
+    assert (g.off, g.dst) == ([0, 1, 2, 2], [1, 2])
+    assert [g.labels[t] for t in g.lab] == ["T0", "T1"]
+    assert g.initial == 0
+    assert g.terminal == 2
 
 
 def test_fig4_graph_counts(fig4_net):
@@ -74,21 +73,24 @@ def test_no_terminal_flags_every_node(fig4_net):
     report = validate_behavioral(fig4_net, g)
     flagged = {v.element for v in report.violations
                if v.code == "NO_PROPER_COMPLETION"}
-    assert flagged == {"{%s}" % n for n in keyed(g).nodes}
+    assert flagged == {"{%s}" % key for key in g.keys()}
 
 
 def test_build_is_deterministic(fig6_net):
-    a = keyed(build_reachability(fig6_net))
-    b = keyed(build_reachability(fixture_net("fig6")))
-    assert a.nodes == b.nodes
-    assert a.edges == b.edges
+    a = build_reachability(fig6_net)
+    b = build_reachability(fixture_net("fig6"))
+    assert a.keys() == b.keys()
+    assert (a.labels, a.off, a.lab, a.dst) == (b.labels, b.off, b.lab, b.dst)
 
 
 def test_edges_replay(fig6_net):
-    g = keyed(build_reachability(fig6_net))
-    for e in g.edges:
-        src = frozenset(e.src.split(","))
-        assert marking_key(fire(fig6_net, src, e.label)) == e.dst
+    g = build_reachability(fig6_net)
+    keys = g.keys()
+    for node in g.nodes:
+        src = frozenset(keys[node].split(","))
+        for e in range(g.off[node], g.off[node + 1]):
+            assert (marking_key(fire(fig6_net, src, g.labels[g.lab[e]]))
+                    == keys[g.dst[e]])
 
 
 def _exhaustive_markings(net):
@@ -109,8 +111,8 @@ def _exhaustive_markings(net):
 @pytest.mark.parametrize("seed", range(25))
 def test_completeness_against_exhaustive_enumeration(seed):
     net = random_wfnet(GenParams(seed=seed, max_places=8))
-    g = keyed(build_reachability(net))
-    assert set(g.nodes) == {marking_key(m) for m in _exhaustive_markings(net)}
+    g = build_reachability(net)
+    assert set(g.keys()) == {marking_key(m) for m in _exhaustive_markings(net)}
 
 
 def test_each_source_lists_its_edges_in_strictly_increasing_label_order():
@@ -168,12 +170,14 @@ def test_to_dot_goldens(sequence_net, fig4_net):
 
 def reference_reachability(net, max_states=DEFAULT_MAX_STATES):
     """BFS that checks every transition at every marking with ``enabled``
-    and builds every successor with ``fire``."""
+    and builds every successor with ``fire``.  Gives the marking keys in
+    discovery order, each one's ``(label, successor key)`` list in firing
+    order, and the initial and terminal keys."""
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
     init_key = marking_key(net.initial_marking)
     marking = {init_key: net.initial_marking}
-    order, edges, succ = [init_key], [], {}
+    order, succ = [init_key], []
     queue = deque([init_key])
     while queue:
         key = queue.popleft()
@@ -192,18 +196,19 @@ def reference_reachability(net, max_states=DEFAULT_MAX_STATES):
                 marking[nxt_key] = nxt
                 order.append(nxt_key)
                 queue.append(nxt_key)
-            out.append(RGEdge(key, label, nxt_key))
-        edges += out
-        succ[key] = tuple(out)
+            out.append((label, nxt_key))
+        succ.append(out)
     sink_key = marking_key(net.sink_places())
     terminal = (sink_key if len(net.sink_places()) == 1
                 and sink_key in marking else None)
-    return KeyedGraph(tuple(order), tuple(edges), init_key, terminal, succ)
+    return order, succ, init_key, terminal
 
 
 def assert_same_graph(net, max_states=DEFAULT_MAX_STATES):
-    """Equal graphs in key form, ``succ`` included and keyed by every
-    marking in discovery order, or the same error with the same message."""
+    """The kernel's CSR graph, decoded to keys, equals the reference's:
+    the keys in discovery order, each source's ``(label, destination key)``
+    list in order, and the initial and terminal keys; or the same error
+    with the same message."""
     try:
         expected = reference_reachability(net, max_states)
     except (StateLimitError, UnsafeNetError, ValueError) as exc:
@@ -212,10 +217,13 @@ def assert_same_graph(net, max_states=DEFAULT_MAX_STATES):
         assert type(got.value) is type(exc)
         assert str(got.value) == str(exc)
         return
-    g = keyed(build_reachability(net, max_states))
-    assert g == expected
-    assert list(g.succ) == list(expected.succ) == list(expected.nodes)
-    assert g.succ == expected.succ
+    g = build_reachability(net, max_states)
+    keys = g.keys()
+    succ = [[(g.labels[g.lab[e]], keys[g.dst[e]])
+             for e in range(g.off[node], g.off[node + 1])]
+            for node in g.nodes]
+    terminal = None if g.terminal is None else keys[g.terminal]
+    assert (keys, succ, keys[g.initial], terminal) == expected
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

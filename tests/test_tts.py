@@ -3,12 +3,12 @@ import random
 import pytest
 
 from wfmig import (build_reachability, expand_with_cycles, find_cycles,
-                   find_simple_paths, keyed, purge, tts_all, tts_for_node)
+                   find_simple_paths, purge, tts_all, tts_for_node)
 from wfmig.net import _reach
 from wfmig.oracle import GenParams, oracle_tts, random_wfnet
-from wfmig.tts import EdgeSet, attachable_cycles
+from wfmig.tts import EdgeSet, attachable_cycles, label_set
 
-from conftest import (FIXTURE_NAMES, families_by_key, fixture_net,
+from conftest import (FIXTURE_NAMES, fixture_net, label_families,
                       par_redo_net, with_empty_transitions)
 
 FIG4_P2_FAMILY = {
@@ -42,21 +42,27 @@ FIG6_P1_FAMILY = {
 
 @pytest.fixture
 def fig4_graph(fig4_net):
-    return keyed(build_reachability(fig4_net))
+    return build_reachability(fig4_net)
 
 
 @pytest.fixture
 def fig6_graph(fig6_net):
-    return keyed(build_reachability(fig6_net))
+    return build_reachability(fig6_net)
+
+
+def labels_along(graph, path):
+    return [graph.labels[graph.lab[e]] for e in path]
 
 
 def test_seed_path_to_p2(fig4_graph):
-    paths = find_simple_paths(fig4_graph, fig4_graph.initial, "P2")
-    assert [[e.label for e in p] for p in paths] == [["T0"]]
+    p2 = fig4_graph.keys().index("P2")
+    paths = find_simple_paths(fig4_graph, fig4_graph.initial, p2)
+    assert [labels_along(fig4_graph, p) for p in paths] == [["T0"]]
 
 
 def test_same_node_yields_empty_path(fig4_graph):
-    assert find_simple_paths(fig4_graph, "P3", "P3") == [()]
+    p3 = fig4_graph.keys().index("P3")
+    assert find_simple_paths(fig4_graph, p3, p3) == [()]
 
 
 def test_diamond_two_paths():
@@ -65,28 +71,32 @@ def test_diamond_two_paths():
                                                           "t4"],
                 arcs=[("a", "t1"), ("t1", "b"), ("a", "t2"), ("t2", "c"),
                       ("b", "t3"), ("t3", "d"), ("c", "t4"), ("t4", "d")])
-    g = keyed(build_reachability(net))
-    paths = find_simple_paths(g, "a", "d")
-    assert [[e.label for e in p] for p in paths] == [["t1", "t3"],
-                                                     ["t2", "t4"]]
+    g = build_reachability(net)
+    paths = find_simple_paths(g, g.initial, g.keys().index("d"))
+    assert [labels_along(g, p) for p in paths] == [["t1", "t3"],
+                                                   ["t2", "t4"]]
 
 
 def test_unreachable_target_gives_no_paths(fig4_graph):
-    assert find_simple_paths(fig4_graph, "P2", "P1") == []
+    keys = fig4_graph.keys()
+    assert find_simple_paths(fig4_graph, keys.index("P2"),
+                             keys.index("P1")) == []
 
 
 def test_fig4_cycles(fig4_graph):
-    label_sets = {c.label_set() for c in find_cycles(fig4_graph)}
+    label_sets = {label_set(fig4_graph, c.edges)
+                  for c in find_cycles(fig4_graph)}
     assert label_sets == {frozenset({"T1", "T2", "T3", "T4"}),
                           frozenset({"T1", "T5", "T6", "T4"})}
 
 
 def test_acyclic_graph_has_no_cycles(sequence_net):
-    assert find_cycles(keyed(build_reachability(sequence_net))) == frozenset()
+    assert find_cycles(build_reachability(sequence_net)) == frozenset()
 
 
 def test_fig6_cycles(fig6_graph):
-    label_sets = {c.label_set() for c in find_cycles(fig6_graph)}
+    label_sets = {label_set(fig6_graph, c.edges)
+                  for c in find_cycles(fig6_graph)}
     assert label_sets == {
         frozenset({"T3", "T4", "T5", "T6", "T7", "T1"}),
         frozenset({"T12", "T13"}),
@@ -100,39 +110,46 @@ def test_self_loop_is_a_cycle():
     net = WFNet(places=["s", "a", "b"], transitions=["v", "t", "u"],
                 arcs=[("s", "v"), ("v", "a"),
                       ("a", "t"), ("t", "a"), ("a", "u"), ("u", "b")])
-    g = keyed(build_reachability(net))
+    g = build_reachability(net)
     cycles = find_cycles(g)
-    assert {tuple(e.label for e in c.edges) for c in cycles} == {("t",)}
+    assert {tuple(labels_along(g, c.edges)) for c in cycles} == {("t",)}
 
 
 def test_cycle_canonical_rotation(fig4_graph):
-    for cycle in find_cycles(fig4_graph):
-        nodes = [e.src for e in cycle.edges]
+    g = fig4_graph
+    src = [node for node in g.nodes for _ in range(g.off[node],
+                                                   g.off[node + 1])]
+    for cycle in find_cycles(g):
+        nodes = [src[e] for e in cycle.edges]
         assert nodes[0] == min(nodes)
-        assert cycle.edges[-1].dst == cycle.edges[0].src
+        assert set(nodes) == cycle.node_set
+        assert [g.dst[e] for e in cycle.edges] == nodes[1:] + nodes[:1]
 
 
 def test_fig4_expansion(fig4_graph):
     cycles = find_cycles(fig4_graph)
-    seeds = [EdgeSet.from_path(p, fig4_graph.initial)
-             for p in find_simple_paths(fig4_graph, fig4_graph.initial, "P2")]
+    p2 = fig4_graph.keys().index("P2")
+    seeds = [EdgeSet.from_path(fig4_graph, p, fig4_graph.initial)
+             for p in find_simple_paths(fig4_graph, fig4_graph.initial, p2)]
     expanded = expand_with_cycles(seeds, cycles)
-    assert {es.label_set() for es in expanded} == FIG4_P2_FAMILY
+    assert ({label_set(fig4_graph, es.edges) for es in expanded}
+            == FIG4_P2_FAMILY)
 
 
 def test_expansion_without_cycles_is_identity(sequence_net):
-    g = keyed(build_reachability(sequence_net))
-    seeds = [EdgeSet.from_path(p, g.initial)
-             for p in find_simple_paths(g, g.initial, "p3")]
+    g = build_reachability(sequence_net)
+    seeds = [EdgeSet.from_path(g, p, g.initial)
+             for p in find_simple_paths(g, g.initial, g.keys().index("p3"))]
     assert expand_with_cycles(seeds, frozenset()) == set(seeds)
 
 
 def test_fig6_first_round_attaches_only_c1_and_c4(fig6_graph):
     cycles = find_cycles(fig6_graph)
-    (seed,) = [EdgeSet.from_path(p, fig6_graph.initial)
+    (seed,) = [EdgeSet.from_path(fig6_graph, p, fig6_graph.initial)
                for p in find_simple_paths(fig6_graph, fig6_graph.initial,
-                                          "P1")]
-    attached = {c.label_set() for c in attachable_cycles(seed, cycles)}
+                                          fig6_graph.keys().index("P1"))]
+    attached = {label_set(fig6_graph, c.edges)
+                for c in attachable_cycles(seed, cycles)}
     assert attached == {
         frozenset({"T3", "T4", "T5", "T6", "T7", "T1"}),
         frozenset({"T3", "T4", "T5", "T10", "T11", "T14", "T7", "T1"}),
@@ -140,31 +157,34 @@ def test_fig6_first_round_attaches_only_c1_and_c4(fig6_graph):
 
 
 def test_fig6_full_family(fig6_graph):
-    assert tts_for_node(fig6_graph, "P1") == FIG6_P1_FAMILY
+    p1 = fig6_graph.keys().index("P1")
+    assert tts_for_node(fig6_graph, p1) == FIG6_P1_FAMILY
 
 
 def test_fig4_family(fig4_graph):
-    assert tts_for_node(fig4_graph, "P2") == FIG4_P2_FAMILY
+    p2 = fig4_graph.keys().index("P2")
+    assert tts_for_node(fig4_graph, p2) == FIG4_P2_FAMILY
 
 
 def test_initial_node_of_acyclic_graph(sequence_net):
-    g = keyed(build_reachability(sequence_net))
+    g = build_reachability(sequence_net)
     assert tts_for_node(g, g.initial) == {frozenset()}
 
 
 def test_tts_all_sequence(sequence_net):
     g = build_reachability(sequence_net)
-    assert families_by_key(g) == {
-        "p1": frozenset({frozenset()}),
-        "p2": frozenset({frozenset({"T0"})}),
-        "p3": frozenset({frozenset({"T0", "T1"})}),
+    assert g.keys() == ["p1", "p2", "p3"]
+    assert label_families(g) == {
+        0: frozenset({frozenset()}),
+        1: frozenset({frozenset({"T0"})}),
+        2: frozenset({frozenset({"T0", "T1"})}),
     }
 
 
 def test_every_member_contains_a_seed(fig6_graph):
     cycles = find_cycles(fig6_graph)
     for node in fig6_graph.nodes:
-        seed_sets = [frozenset(e.label for e in p)
+        seed_sets = [label_set(fig6_graph, p)
                      for p in find_simple_paths(fig6_graph,
                                                 fig6_graph.initial, node)]
         for member in tts_for_node(fig6_graph, node, cycles):
@@ -173,9 +193,9 @@ def test_every_member_contains_a_seed(fig6_graph):
 
 def test_cycle_order_independence(fig6_graph):
     cycles = list(find_cycles(fig6_graph))
-    (seed,) = [EdgeSet.from_path(p, fig6_graph.initial)
+    (seed,) = [EdgeSet.from_path(fig6_graph, p, fig6_graph.initial)
                for p in find_simple_paths(fig6_graph, fig6_graph.initial,
-                                          "P1")]
+                                          fig6_graph.keys().index("P1"))]
     reference = expand_with_cycles([seed], frozenset(cycles))
     rng = random.Random(7)
     for _ in range(5):
@@ -195,12 +215,11 @@ def test_matches_oracle_on_random_nets(seed):
     g = build_reachability(net)
     if len(g.nodes) > 12:
         pytest.skip("graph larger than the desk-scale oracle limit")
-    families = families_by_key(g)
+    families = label_families(g)
     # the same graph with some labels empty: the closure drops them as it
     # walks, and must give the oracle's families purged afterwards
     empty = with_empty_transitions(net, seed).empty_labels
-    purged = families_by_key(g, empty)
-    g = keyed(g)
+    purged = label_families(g, empty)
     for node in g.nodes:
         family = oracle_tts(g, node)
         assert families[node] == family
@@ -213,10 +232,9 @@ def test_matches_oracle_on_random_nets(seed):
 
 def assert_closure_equals_fixpoint(net):
     g = build_reachability(net)
-    kg = keyed(g)
-    cycles = find_cycles(kg)
-    assert families_by_key(g) == {n: tts_for_node(kg, n, cycles)
-                                  for n in kg.nodes}
+    cycles = find_cycles(g)
+    assert label_families(g) == {n: tts_for_node(g, n, cycles)
+                                 for n in g.nodes}
 
 
 def test_closure_equals_fixpoint_on_criterion_4_nets():
@@ -248,10 +266,23 @@ def test_closure_equals_fixpoint_on_acyclic_nets(seed):
 def test_closure_matches_oracle_on_parallel_redo_net():
     g = build_reachability(par_redo_net(2, 2))
     assert len(g.nodes) == 11
-    families = families_by_key(g)
-    g = keyed(g)
+    families = label_families(g)
     for node in g.nodes:
         assert families[node] == oracle_tts(g, node), node
+
+
+def test_fixpoint_attaches_a_cycle_through_the_initial_marking():
+    """s -a-> m -b-> s: the empty seed path of {s} covers only s, and the
+    cycle must still attach there."""
+    from wfmig import WFNet
+    net = WFNet(places=["s", "m", "e"], transitions=["a", "b", "c"],
+                arcs=[("s", "a"), ("a", "m"), ("m", "b"), ("b", "s"),
+                      ("m", "c"), ("c", "e")], initial_marking={"s"})
+    g = build_reachability(net)
+    assert tts_for_node(g, g.initial) == {frozenset(), frozenset("ab")}
+    assert_closure_equals_fixpoint(net)
+    for node in g.nodes:
+        assert oracle_tts(g, node) == tts_for_node(g, node), node
 
 
 # ---------------------------------------------------------------------------
