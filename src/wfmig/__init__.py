@@ -1,8 +1,8 @@
 """History-equivalence mapping between workflow nets for process migration."""
 
 from .errors import (BoundTooSmallError, NetFormatError, NotEnabledError,
-                     StateLimitError, UnsafeFiringError, UnsafeNetError,
-                     WfmigError)
+                     StateLimitError, TtsLimitError, UnsafeFiringError,
+                     UnsafeNetError, WfmigError)
 from .net import (Transition, ValidationReport, Violation, WFNet, enabled,
                   fire, marking_key, validate_structural)
 from .reachability import (ReachGraph, build_reachability, to_dot,

@@ -1,12 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain error (validation failure, state limit,
-unsafe net, unreachable marking), 2 usage error, a net file that cannot be
-read or parsed, or a ``--dot`` file or stdout that cannot be written (a
-closed pipe included).  Diagnostics go to stderr, data to stdout, and all
-output is byte-deterministic for equal inputs and flags.  Every command
-runs the production engines only; the reference code (the paper's
-fixpoint, the oracle) reads the same graph and is for the tests.
+Exit codes: 0 success, 1 domain error (validation failure, state or TTS
+limit, unsafe net, unreachable marking), 2 usage error, a net file that
+cannot be read or parsed, or a ``--dot`` file or stdout that cannot be
+written (a closed pipe or a full disk included; one ``WRITE_ERROR`` line).
+Diagnostics go to stderr, data to stdout, and all output is
+byte-deterministic for equal inputs and flags.  ``reach --dot`` and ``map``
+write their text in batches of about ``BATCH_CHARS`` characters as it is
+made, so neither holds the whole text; ``to_dot`` and ``emit_*`` join the
+same pieces into one string.  Every command runs the production engines
+only; the reference code (the paper's fixpoint, the oracle) reads the same
+graph and is for the tests.
 """
 
 import argparse
@@ -18,9 +22,26 @@ from . import equivalence, netformat, oracle, reachability, tts
 from .errors import NetFormatError, WfmigError
 from .net import _reach, key_label, marking_key, validate_structural
 from .reachability import DEFAULT_MAX_STATES
+from .tts import DEFAULT_MAX_TTS_STATES
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
+# a batch of output text is written once it holds this many characters
+BATCH_CHARS = 1 << 16
+
+
+def _write_batched(stream, pieces):
+    """Write the pieces of a text as they come, joined into batches of
+    about ``BATCH_CHARS``: no whole text is held, and a small one still
+    goes out in one write."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= BATCH_CHARS:
+            stream.write("".join(batch))
+            batch, size = [], 0
+    stream.write("".join(batch))
 
 
 def _load_net(path):
@@ -76,7 +97,7 @@ def cmd_reach(args):
     if args.dot is not None:
         try:
             with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(reachability.to_dot(graph))
+                _write_batched(handle, reachability.dot_lines(graph))
         except OSError as exc:
             raise NetFormatError("cannot write %s: %s"
                                  % (args.dot, exc.strerror),
@@ -101,7 +122,8 @@ def cmd_tts(args):
                          code="UNREACHABLE_MARKING")
     ignore = frozenset() if args.keep_empty else net.empty_labels
     ancestors = _reach({node}, graph.pred())
-    family = tts.tts_all(graph, ignore, nodes=ancestors)[node]
+    family = tts.tts_all(graph, ignore, nodes=ancestors,
+                         max_states=args.max_tts_states)[node]
     for labels in sorted(reachability.mask_names(graph.labels, member)
                          for member in family):
         print(key_label(",".join(labels)))
@@ -114,11 +136,12 @@ def cmd_map(args):
     _require_structural(old_net)
     _require_structural(new_net)
     table = equivalence.find_equivalence_mapping(old_net, new_net,
-                                                 args.max_states)
-    emit = {"table": netformat.emit_table,
-            "json": netformat.emit_json,
-            "csv": netformat.emit_csv}[args.format]
-    sys.stdout.write(emit(old_net, new_net, table))
+                                                 args.max_states,
+                                                 args.max_tts_states)
+    lines = {"table": netformat.table_lines,
+             "json": netformat.json_lines,
+             "csv": netformat.csv_lines}[args.format]
+    _write_batched(sys.stdout, lines(old_net, new_net, table))
     if args.fail_on_change_region and equivalence.change_region(table):
         return DOMAIN_ERROR
     return 0
@@ -172,6 +195,14 @@ def _add_max_states(parser):
                              "many markings (default %d)" % DEFAULT_MAX_STATES)
 
 
+def _add_max_tts_states(parser):
+    parser.add_argument("--max-tts-states", type=_int_at_least(1),
+                        default=DEFAULT_MAX_TTS_STATES,
+                        help="abort when a TTS closure exceeds this many "
+                             "(marking, TTS) states (default %d)"
+                             % DEFAULT_MAX_TTS_STATES)
+
+
 class _Parser(argparse.ArgumentParser):
     """Lets a failed ``--help`` write to stdout through, to ``main``."""
 
@@ -209,6 +240,7 @@ def build_parser():
     p.add_argument("--keep-empty", action="store_true",
                    help="keep empty-transition labels in the output")
     _add_max_states(p)
+    _add_max_tts_states(p)
     p.set_defaults(func=cmd_tts)
 
     p = sub.add_parser("map",
@@ -220,6 +252,7 @@ def build_parser():
     p.add_argument("--fail-on-change-region", action="store_true",
                    help="exit 1 when any marking has no equivalent")
     _add_max_states(p)
+    _add_max_tts_states(p)
     p.set_defaults(func=cmd_map)
 
     # a debugging helper, kept out of the advertised command list
@@ -260,7 +293,10 @@ def main(argv=None):
         code = _run(argv)
         sys.stdout.flush()          # a closed stdout fails here, not at exit
         return code
-    except BrokenPipeError as exc:
+    except OSError as exc:
+        # only a write to stdout gets here: a net file that cannot be read
+        # and a --dot file that cannot be written are coded where they
+        # fail.  A closed pipe, a full disk: one line and exit 2.
         if sys.stdout is sys.__stdout__:    # not a stream a caller swapped in
             # the interpreter flushes stdout once more as it exits; give
             # the unwritten bytes somewhere to go

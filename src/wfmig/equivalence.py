@@ -11,7 +11,7 @@ initial marking).
 from dataclasses import dataclass
 
 from .reachability import DEFAULT_MAX_STATES, build_reachability
-from .tts import tts_all
+from .tts import DEFAULT_MAX_TTS_STATES, tts_all
 
 
 @dataclass(frozen=True)
@@ -31,25 +31,28 @@ def purge(family, empty_labels):
     return frozenset(tts - empty for tts in family)
 
 
-def find_equivalence_mapping(old_net, new_net, max_states=DEFAULT_MAX_STATES):
+def find_equivalence_mapping(old_net, new_net, max_states=DEFAULT_MAX_STATES,
+                             max_tts_states=DEFAULT_MAX_TTS_STATES):
     """Build both reachability graphs and their purged TTS families, index
     the new marking ids by the purged TTSs they hold, and list for every
     old marking all new markings sharing at least one purged TTS; node ids
     become keys only here, in the rows.  Both closures number their label
     bits in one order, the sorted union of the two nets' labels, so a TTS
     is one int key in the index whichever net it comes from; each net's
-    own empty labels get no bit."""
+    own empty labels get no bit.  ``max_states`` bounds each reachability
+    graph and ``max_tts_states`` each closure."""
     old_graph = build_reachability(old_net, max_states)
     new_graph = build_reachability(new_net, max_states)
     order = sorted(set(old_graph.labels) | set(new_graph.labels))
 
     holders = {}
-    for node, family in tts_all(new_graph, new_net.empty_labels,
-                                order).items():
+    for node, family in tts_all(new_graph, new_net.empty_labels, order,
+                                max_states=max_tts_states).items():
         for member in family:
             holders.setdefault(member, []).append(node)
 
-    old_fams = tts_all(old_graph, old_net.empty_labels, order)
+    old_fams = tts_all(old_graph, old_net.empty_labels, order,
+                       max_states=max_tts_states)
     old_keys, new_keys = old_graph.keys(), new_graph.keys()
     rows = []
     for node, family in old_fams.items():

@@ -30,6 +30,12 @@ class StateLimitError(WfmigError):
     code = "STATE_LIMIT_EXCEEDED"
 
 
+class TtsLimitError(WfmigError):
+    """The TTS closure hit the configured limit on (marking, TTS) states."""
+
+    code = "TTS_LIMIT_EXCEEDED"
+
+
 class UnsafeNetError(WfmigError):
     """Exploration discovered a firing that violates 1-boundedness."""
 

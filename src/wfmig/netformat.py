@@ -21,7 +21,6 @@ label), so ``parse_net(serialize_net(net)) == net`` for every net, and
 """
 
 import csv
-import io
 import json
 
 from .errors import NetFormatError
@@ -153,7 +152,9 @@ def serialize_net(net):
 # ---------------------------------------------------------------------------
 # Mapping output: every emitter takes (old_net, new_net, table); table and
 # csv print the keys in ``table.rows`` as ``key_label`` forms, and only the
-# JSON document splits them into place lists.
+# JSON document splits them into place lists.  Each format is one
+# generator of the text's pieces (``*_lines``), which ``map`` writes as
+# they come; ``emit_*`` joins them into one string.
 
 def mapping_document(old_net, new_net, table):
     """The mapping table as a plain dict (the JSON wire shape)."""
@@ -178,46 +179,70 @@ def _json_places(key, indent):
         ",", '",%s"' % pad), " " * indent)
 
 
-def emit_json(old_net, new_net, table):
+def json_lines(old_net, new_net, table):
     """``json.dumps(mapping_document(...), indent=2) + "\\n"``, byte for
-    byte, written for this one document shape; with ``indent`` set,
-    ``json.dumps`` takes its pure-Python encoder, and here only the leaf
-    strings go through ``json.dumps``, which quotes them in C."""
-    out = ['{\n  "old_net": %s,\n  "new_net": %s,\n  "rows": '
-           % (json.dumps(old_net.name), json.dumps(new_net.name))]
+    byte, written for this one document shape, in pieces: the head, one
+    piece per row, the tail.  With ``indent`` set, ``json.dumps`` takes its
+    pure-Python encoder; here only the leaf strings go through
+    ``json.dumps``, which quotes them in C."""
+    yield ('{\n  "old_net": %s,\n  "new_net": %s,\n  "rows": '
+           % (json.dumps(old_net.name), json.dumps(new_net.name)))
+    opening = "["
     for old_key, equivalents in table.rows:
         if equivalents:
             right = "[\n        %s\n      ]" % ",\n        ".join(
                 [_json_places(key, 8) for key in equivalents])
         else:
             right = "[]"
-        out.append('%s\n    {\n      "old_marking": %s,\n'
-                   '      "equivalents": %s,\n'
-                   '      "change_region": %s\n    }'
-                   % ("," if len(out) > 1 else "[",
-                      _json_places(old_key, 6), right,
-                      "false" if equivalents else "true"))
-    out.append("\n  ]\n}\n" if table.rows else "[]\n}\n")
-    return "".join(out)
+        yield ('%s\n    {\n      "old_marking": %s,\n'
+               '      "equivalents": %s,\n'
+               '      "change_region": %s\n    }'
+               % (opening, _json_places(old_key, 6), right,
+                  "false" if equivalents else "true"))
+        opening = ","
+    yield "\n  ]\n}\n" if table.rows else "[]\n}\n"
 
 
-def emit_csv(old_net, new_net, table):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["old_marking", "equivalents", "change_region"])
+class _Echo:
+    """A file for ``csv.writer`` that writes nothing: ``write`` hands back
+    the line it is given, and ``writerow`` returns what ``write`` does."""
+
+    def write(self, line):
+        return line
+
+
+def csv_lines(old_net, new_net, table):
+    """The CSV text, one row at a time."""
+    row = csv.writer(_Echo(), lineterminator="\n").writerow
+    yield row(["old_marking", "equivalents", "change_region"])
     for old_key, equivalents in table.rows:
-        writer.writerow([key_label(old_key),
-                         ";".join(map(key_label, equivalents)),
-                         "false" if equivalents else "true"])
-    return out.getvalue()
+        yield row([key_label(old_key),
+                   ";".join(map(key_label, equivalents)),
+                   "false" if equivalents else "true"])
 
 
-def emit_table(old_net, new_net, table):
+def table_lines(old_net, new_net, table):
+    """The aligned text table, one line at a time.  The first column is as
+    wide as its widest key, found by a pass over the key lengths."""
     width = max([len("old marking")]
                 + [len(key_label(key)) for key, _ in table.rows])
-    lines = ["%-*s  %s" % (width, "old marking", "new equivalent markings")]
+    yield "%-*s  %s\n" % (width, "old marking", "new equivalent markings")
     for old_key, equivalents in table.rows:
         right = (", ".join(map(key_label, equivalents)) if equivalents
                  else "(change region)")
-        lines.append("%-*s  %s" % (width, key_label(old_key), right))
-    return "\n".join(lines) + "\n"
+        yield "%-*s  %s\n" % (width, key_label(old_key), right)
+
+
+def emit_json(old_net, new_net, table):
+    """The whole text of ``json_lines``, as one string."""
+    return "".join(json_lines(old_net, new_net, table))
+
+
+def emit_csv(old_net, new_net, table):
+    """The whole text of ``csv_lines``, as one string."""
+    return "".join(csv_lines(old_net, new_net, table))
+
+
+def emit_table(old_net, new_net, table):
+    """The whole text of ``table_lines``, as one string."""
+    return "".join(table_lines(old_net, new_net, table))

@@ -11,7 +11,9 @@ A node's key (``marking_key``: its places, comma-joined; names cannot
 contain ``,``) is its only text form, built on demand where output, an
 error message or a ``--marking`` lookup needs it.  This one form is the
 graph every reader walks: the engines, and the reference code the tests
-check them against (the paper's fixpoint, the oracle).
+check them against (the paper's fixpoint, the oracle).  The DOT export is
+one generator of lines (``dot_lines``), which ``reach --dot`` writes as
+they come; ``to_dot`` joins them.
 
 The breadth-first search plays the token game on ints: each transition has
 a ``pre`` and a ``post`` mask, is enabled at marking ``m`` when
@@ -197,21 +199,30 @@ def validate_behavioral(net, graph):
     return ValidationReport(tuple(violations))
 
 
-def to_dot(graph):
-    """Render the graph as DOT text, byte-deterministic (canonical order):
-    nodes by key, and each source's edges in label order, which is their
-    CSR order.  Node names are ``key_label`` forms, written inline; ``\\``
-    and ``"`` in names and labels are escaped, once per name."""
+def dot_lines(graph):
+    """The graph as DOT text, one line at a time, each ending in a newline;
+    byte-deterministic (canonical order): nodes by key, then each source's
+    edges in label order, which is their CSR order.  Node names are
+    ``key_label`` forms, written inline; ``\\`` and ``"`` in names and
+    labels are escaped, once per name.  The keys are built up front, the
+    lines one by one, so a caller can write them as they come."""
     keys = graph.keys()
     name = [k.replace("\\", "\\\\").replace('"', '\\"') for k in keys]
     label = [t.replace("\\", "\\\\").replace('"', '\\"')
              for t in graph.labels]
     off, lab, dst = graph.off, graph.lab, graph.dst
     order = sorted(graph.nodes, key=keys.__getitem__)
-    lines = ["digraph reachability {"]
-    lines.extend(['  "{%s}";' % name[node] for node in order])
-    lines.extend(['  "{%s}" -> "{%s}" [label="%s"];'
-                  % (name[node], name[dst[e]], label[lab[e]])
-                  for node in order for e in range(off[node], off[node + 1])])
-    lines.append("}\n")
-    return "\n".join(lines)
+    yield "digraph reachability {\n"
+    for node in order:
+        yield '  "{%s}";\n' % name[node]
+    for node in order:
+        source = name[node]
+        for e in range(off[node], off[node + 1]):
+            yield '  "{%s}" -> "{%s}" [label="%s"];\n' % (
+                source, name[dst[e]], label[lab[e]])
+    yield "}\n"
+
+
+def to_dot(graph):
+    """The whole DOT text of ``dot_lines``, as one string."""
+    return "".join(dot_lines(graph))

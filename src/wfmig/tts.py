@@ -9,16 +9,27 @@ walks.  Its members are ints: a TTS is a bitmask over one explicit label
 order, bit ``i`` for the ``i``-th label.  ``map`` gives both nets the
 sorted union of their labels, so equal label sets are equal ints across
 the nets; ``tts`` uses the net's own sorted labels and decodes the masks
-only to print them (``reachability.mask_names``).
+only to print them (``reachability.mask_names``).  The closure's (node,
+member) states can grow exponentially with the net, so it counts them and
+stops past a limit (``TtsLimitError``, ``--max-tts-states``).
 
 The paper's construction stays as the reference the tests check: elementary
 seed paths absorb every elementary cycle touching a node already covered,
 until a fixpoint (``tts_for_node``).  It walks the same int graph by node
 and edge id, a path or a cycle being a tuple of edge ids, and gives
-frozensets of label strings.
+frozensets of label strings.  Its depth-first walks keep explicit stacks,
+so a path of any length fits.
 """
 
 from dataclasses import dataclass
+
+from .errors import TtsLimitError
+
+# Of the ``random_wfnet`` nets with up to 24 places and 36 transitions
+# (seeds 0-19), the largest closure that ``map`` finishes under a 700 MB
+# address-space limit holds 4.26e6 states (seed 5).  Reaching 5e6 states
+# takes about 350 MB and 7-13 s (Python 3.11, one core of a 2-vCPU host).
+DEFAULT_MAX_TTS_STATES = 5000000
 
 
 def label_set(graph, edges):
@@ -57,37 +68,43 @@ class EdgeSet:
                        self.nodes | cycle.node_set)
 
 
+def _elementary_paths(graph, start, target, floor=-1):
+    """Depth-first over the elementary paths from ``start``, each node's
+    edges taken in CSR order, which is label order: yields, for every edge
+    into ``target``, the path's edge ids ending in that edge and the set of
+    nodes on the path (``start`` included, ``target`` not unless it is
+    ``start``; the set is live, so copy it to keep it).  A path extends
+    only into nodes above ``floor`` and not yet on it.  One iterator of
+    out-edges per path node is held on an explicit stack, so the depth is
+    bounded by memory, not by the interpreter's recursion limit."""
+    off, to = graph.off, graph.dst
+    path, on_path = [], {start}
+    stack = [iter(range(off[start], off[start + 1]))]
+    while stack:
+        for edge in stack[-1]:
+            nxt = to[edge]
+            if nxt == target:
+                yield tuple(path) + (edge,), on_path
+            elif nxt > floor and nxt not in on_path:
+                path.append(edge)
+                on_path.add(nxt)
+                stack.append(iter(range(off[nxt], off[nxt + 1])))
+                break
+        else:       # every edge of the last node is done: step back
+            stack.pop()
+            if path:
+                on_path.discard(to[path.pop()])
+
+
 def find_simple_paths(graph, src, dst):
     """All elementary (node-repetition-free) directed paths from src to dst.
 
     Deterministic order: depth-first, each node's edges taken in CSR order,
     which is label order.  ``src == dst`` yields exactly the empty path.
     """
-    paths = []
     if src == dst:
-        paths.append(())
-        return paths
-
-    off, to = graph.off, graph.dst
-    path = []
-    on_path = {src}
-
-    def walk(node):
-        for edge in range(off[node], off[node + 1]):
-            nxt = to[edge]
-            if nxt in on_path:
-                continue
-            path.append(edge)
-            if nxt == dst:
-                paths.append(tuple(path))
-            else:
-                on_path.add(nxt)
-                walk(nxt)
-                on_path.discard(nxt)
-            path.pop()
-
-    walk(src)
-    return paths
+        return [()]
+    return [path for path, _ in _elementary_paths(graph, src, dst)]
 
 
 def find_cycles(graph):
@@ -98,27 +115,10 @@ def find_cycles(graph):
     Parallel edges with different labels yield distinct cycles; a self-loop
     edge is a length-1 cycle.
     """
-    off, dst = graph.off, graph.dst
-    cycles = set()
-    for start in graph.nodes:
-        path = []
-        on_path = {start}
-
-        def walk(node):
-            for edge in range(off[node], off[node + 1]):
-                nxt = dst[edge]
-                if nxt == start:
-                    cycles.add(Cycle(tuple(path) + (edge,),
-                                     frozenset(on_path)))
-                elif nxt > start and nxt not in on_path:
-                    path.append(edge)
-                    on_path.add(nxt)
-                    walk(nxt)
-                    on_path.discard(nxt)
-                    path.pop()
-
-        walk(start)
-    return frozenset(cycles)
+    return frozenset(Cycle(path, frozenset(on_path))
+                     for start in graph.nodes
+                     for path, on_path in _elementary_paths(graph, start,
+                                                            start, start))
 
 
 def attachable_cycles(edge_set, cycles):
@@ -158,7 +158,8 @@ def tts_for_node(graph, node, cycles=None):
     return frozenset(label_set(graph, es.edges) for es in expanded)
 
 
-def tts_all(graph, ignore=frozenset(), order=None, nodes=None):
+def tts_all(graph, ignore=frozenset(), order=None, nodes=None,
+            max_states=DEFAULT_MAX_TTS_STATES):
     """TTS families by node id, each a set of int members: a worklist
     closure over (node, member) states from (initial, 0) along the CSR
     edges.  Bit ``i`` of a member stands for label ``order[i]`` (default
@@ -172,7 +173,12 @@ def tts_all(graph, ignore=frozenset(), order=None, nodes=None):
     of each of its nodes, as the ancestors of a node do.  Only the nodes in
     ``nodes`` get a family, an edge into any other node is skipped, and the
     families returned, those of ``nodes``, are the same as in the whole
-    graph."""
+    graph.
+
+    Raises TtsLimitError when the states, counted once each as they are
+    added, would exceed ``max_states``."""
+    if max_states < 1:
+        raise ValueError("max_states must be >= 1")
     position = {label: i for i, label in enumerate(
         graph.labels if order is None else order)}
     bits = [0 if label in ignore else 1 << position[label]
@@ -184,6 +190,7 @@ def tts_all(graph, ignore=frozenset(), order=None, nodes=None):
         families[node] = set()
     families[graph.initial].add(0)
     worklist = [(graph.initial, 0)]
+    budget = max_states - 1                 # states still allowed
     while worklist:
         node, labels = worklist.pop()
         for e in range(off[node], off[node + 1]):
@@ -192,6 +199,10 @@ def tts_all(graph, ignore=frozenset(), order=None, nodes=None):
                 continue
             reached = labels | bits[lab[e]]
             if reached not in family:
+                if not budget:
+                    raise TtsLimitError("TTS closure exceeds %d states"
+                                        % max_states)
+                budget -= 1
                 family.add(reached)
                 worklist.append((dst[e], reached))
     return {node: families[node] for node in held}

@@ -653,6 +653,44 @@ def test_cli_map_and_tts_on_a_deep_sequence(capsys, tmp_path):
                                                for i in range(1, 1201)))
 
 
+def test_cli_tts_limit_is_one_coded_line(capsys, tmp_path):
+    """The generator net of seed 18 at 24 places and 36 transitions has
+    about 1.7e8 TTSs: at a small --max-tts-states, map and tts of its sink
+    print one coded line and exit 1.  The initial marking p0 has no ancestor but itself, so its closure
+    holds one state and fits in a limit of 1."""
+    path = tmp_path / "seed-18.json"
+    path.write_text(serialize_net(random_wfnet(GenParams(
+        seed=18, max_places=24, max_transitions=36))), encoding="utf-8")
+    for argv in [("map", "--old", str(path), "--new", str(path)),
+                 ("tts", str(path), "--marking", "p1")]:
+        assert run_cli(capsys, *argv, "--max-tts-states", "1000") == (
+            1, "", "TTS_LIMIT_EXCEEDED: TTS closure exceeds 1000 states\n")
+    assert run_cli(capsys, "tts", str(path), "--marking", "p0",
+                   "--max-tts-states", "1") == (0, "{}\n", "")
+
+
+def spawn_cli(tmp_path, python, argv, stdout):
+    """Run ``python -m wfmig.cli`` with stdout block-buffered unless
+    ``python`` holds ``-u``, as in a shell pipeline or redirection, so that
+    small output is still unwritten when the command returns.  ``{tmp}``
+    in ``argv`` names ``tmp_path``, which holds par-redo-3-6.json,
+    sequence-1200.json and helpers-100.json, a sequence of 100 empty
+    helpers whose map against itself lists every marking in every row."""
+    (tmp_path / "par-redo-3-6.json").write_text(
+        serialize_net(par_redo_net(3, 6)), encoding="utf-8")
+    (tmp_path / "sequence-1200.json").write_text(
+        serialize_net(long_sequence_net(1200)), encoding="utf-8")
+    (tmp_path / "helpers-100.json").write_text(serialize_net(
+        with_empty_transitions(long_sequence_net(100), 0, share=1)),
+        encoding="utf-8")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return subprocess.run([sys.executable, *python, "-m", "wfmig.cli"]
+                          + argv, stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=120, env=env)
+
+
 @pytest.mark.parametrize("python,argv", [
     ((), ("map", "--old", fx("fig8_old"), "--new", fx("fig8_new"),
           "--format", "json")),
@@ -669,26 +707,64 @@ def test_cli_closed_stdout_exits_2_with_one_write_error_line(tmp_path, python,
     """stdout is a pipe whose read end is closed before the spawn, as in
     ``wfmig map ... | true``: one coded line, exit 2, and no traceback,
     also none from the interpreter's last flush of stdout."""
-    (tmp_path / "par-redo-3-6.json").write_text(
-        serialize_net(par_redo_net(3, 6)), encoding="utf-8")
-    (tmp_path / "sequence-1200.json").write_text(
-        serialize_net(long_sequence_net(1200)), encoding="utf-8")
-    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    # stdout block-buffered unless -u, as in a shell pipeline, so that
-    # small output is still unwritten when the command returns
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = str(ROOT / "src")
     read, write = os.pipe()
     os.close(read)
     try:
-        run = subprocess.run([sys.executable, *python, "-m", "wfmig.cli"]
-                             + argv,
-                             stdout=write, stderr=subprocess.PIPE,
-                             timeout=120, env=env)
+        run = spawn_cli(tmp_path, python, argv, write)
     finally:
         os.close(write)
     assert run.returncode == 2
     assert run.stderr == b"WRITE_ERROR: cannot write stdout: Broken pipe\n"
+
+
+FULL_STDOUT = [
+    ((), ("map", "--old", fx("fig8_old"), "--new", fx("fig8_new"),
+          "--format", "json")),
+    # about 300 kB, several batches: a write in the middle of the command
+    # fails
+    ((), ("map", "--old", "{tmp}/helpers-100.json",
+          "--new", "{tmp}/helpers-100.json", "--format", "json")),
+    ((), ("validate", fx("fig8_old"))),
+    ((), ("reach", fx("fig4"))),
+    ((), ("tts", "{tmp}/par-redo-3-6.json", "--marking", "e")),
+    ((), ("gen-net", "--seed", "3")),
+    ((), ("--help",)),
+    (("-u",), ("--help",)),
+    (("-u",), ("map", "--old", fx("fig8_old"), "--new", fx("fig8_new"))),
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("python,argv", FULL_STDOUT,
+                         ids=["map-small", "map-large", "validate", "reach",
+                              "tts", "gen-net", "help", "help-unbuffered",
+                              "map-unbuffered"])
+def test_cli_full_stdout_exits_2_with_one_write_error_line(tmp_path, python,
+                                                           argv):
+    """stdout is /dev/full, where every write fails with ENOSPC: one coded
+    line, exit 2, and no traceback, also none from the interpreter's last
+    flush of stdout."""
+    with open("/dev/full", "wb") as full:
+        run = spawn_cli(tmp_path, python, argv, full)
+    assert run.returncode == 2
+    assert run.stderr == (b"WRITE_ERROR: cannot write stdout: "
+                          b"No space left on device\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("net", [fx("fig4"), "{tmp}/sequence-1200.json"],
+                         ids=["fig4", "sequence-1200"])
+def test_cli_full_dot_file_exits_2_with_one_write_error_line(tmp_path, net):
+    """A --dot file that fails as its batches are written, in the first
+    batch or in a later one: one line naming the file, exit 2, and nothing
+    on stdout."""
+    run = spawn_cli(tmp_path, (), ["reach", net, "--dot", "/dev/full"],
+                    subprocess.PIPE)
+    assert (run.returncode, run.stdout) == (2, b"")
+    assert run.stderr == (b"WRITE_ERROR: cannot write /dev/full: "
+                          b"No space left on device\n")
 
 
 def test_cli_closed_stdout_in_process_reports_the_same_line(
@@ -748,6 +824,12 @@ BAD_INPUTS = {
     (("map", "--old", fx("sequence"), "--new", fx("sequence"),
       "--max-states", "0"),
      "wfmig map: error: argument --max-states: must be at least 1: '0'"),
+    (("map", "--old", fx("sequence"), "--new", fx("sequence"),
+      "--max-tts-states", "0"),
+     "wfmig map: error: argument --max-tts-states: must be at least 1: "
+     "'0'"),
+    (("tts", fx("sequence"), "--marking", "p2", "--max-tts-states", "x"),
+     "wfmig tts: error: argument --max-tts-states: invalid int value: 'x'"),
     # the reference oracle is not a command
     (("oracle-tts", fx("fig4"), "--marking", "P2"),
      "wfmig: error: argument {validate,reach,tts,map}: invalid choice: "
@@ -800,7 +882,8 @@ BAD_INPUTS = {
      "wfmig gen-net: error: argument --parallel-probability: invalid float "
      "value: 'x'"),
 ], ids=["validate-max-states-0", "reach-max-states-negative",
-        "tts-max-states-0", "map-max-states-0", "oracle-tts-not-a-command",
+        "tts-max-states-0", "map-max-states-0", "map-max-tts-states-0",
+        "tts-max-tts-states-not-an-int", "oracle-tts-not-a-command",
         "gen-net-max-places-1", "gen-net-max-transitions-0", "not-utf-8",
         "dot-unwritable", "deep-nesting", "id-is-a-place",
         "lone-surrogate", "place-name-whitespace", "repeated-arc",

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from wfmig import (build_reachability, expand_with_cycles, find_cycles,
-                   find_simple_paths, purge, tts_all, tts_for_node)
+from wfmig import (TtsLimitError, build_reachability, expand_with_cycles,
+                   find_cycles, find_simple_paths, purge, tts_all,
+                   tts_for_node)
 from wfmig.net import _reach
 from wfmig.oracle import GenParams, oracle_tts, random_wfnet
 from wfmig.tts import EdgeSet, attachable_cycles, label_set
 
 from conftest import (FIXTURE_NAMES, fixture_net, label_families,
-                      par_redo_net, with_empty_transitions)
+                      long_sequence_net, par_redo_net, with_empty_transitions)
 
 FIG4_P2_FAMILY = {
     frozenset({"T0"}),
@@ -312,3 +313,45 @@ def test_ancestor_closure_matches_whole_graph_on_loop_nets(seed):
     assert_ancestor_closure_matches_whole_graph(net)
     assert_ancestor_closure_matches_whole_graph(
         with_empty_transitions(net, seed))
+
+
+def test_fixpoint_walks_a_deep_sequence():
+    """The seed-path and cycle walks keep their own stacks: 1,200 edges
+    from the initial marking is no deeper for them than one."""
+    g = build_reachability(long_sequence_net(1200))
+    last = g.nodes[-1]
+    assert tts_for_node(g, last) == label_families(g)[last]
+
+
+@pytest.mark.parametrize("net", [fixture_net(name) for name in FIXTURE_NAMES]
+                         + [par_redo_net(2, 3)],
+                         ids=FIXTURE_NAMES + ["par-redo-2-3"])
+def test_tts_limit_counts_each_state_once(net):
+    """The closure adds every (node, member) state once: it finishes at a
+    limit of exactly its state count, and one less raises."""
+    g = build_reachability(net)
+    whole = tts_all(g, net.empty_labels)
+    states = sum(map(len, whole.values()))
+    assert tts_all(g, net.empty_labels, max_states=states) == whole
+    if states > 1:
+        with pytest.raises(TtsLimitError) as err:
+            tts_all(g, net.empty_labels, max_states=states - 1)
+        assert err.value.code == "TTS_LIMIT_EXCEEDED"
+        assert str(err.value) == ("TTS closure exceeds %d states"
+                                  % (states - 1))
+    with pytest.raises(ValueError):
+        tts_all(g, max_states=0)
+
+
+def test_tts_limit_counts_the_ancestor_states_only():
+    net = par_redo_net(2, 3)
+    g = build_reachability(net)
+    pred = g.pred()
+    for node in g.nodes:
+        ancestors = _reach({node}, pred)
+        part = tts_all(g, nodes=ancestors)
+        states = sum(map(len, part.values()))
+        assert tts_all(g, nodes=ancestors, max_states=states) == part
+        if states > 1:
+            with pytest.raises(TtsLimitError):
+                tts_all(g, nodes=ancestors, max_states=states - 1)
