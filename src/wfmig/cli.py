@@ -9,8 +9,9 @@ byte-deterministic for equal inputs and flags.  ``reach --dot`` and ``map``
 write their text in batches of about ``BATCH_CHARS`` characters as it is
 made, so neither holds the whole text; ``to_dot`` and ``emit_*`` join the
 same pieces into one string.  Every command runs the production engines
-only; the reference code (the paper's fixpoint, the oracle) reads the same
-graph and is for the tests.
+only.  The paper's fixpoint (``tts.tts_for_node``) reads the same graph
+and is for the tests, as are the oracle and the frozenset token game in
+``tests/reference.py``.
 """
 
 import argparse

@@ -23,6 +23,7 @@ class MappingTable:
     rows: tuple
 
 
+# kept in the package: bench/tracer.py wraps it by module attribute
 def purge(family, empty_labels):
     """Remove empty-transition labels from every member set; deduplicate.
     The production path never calls it: ``tts_all`` drops the labels as it

@@ -1,4 +1,5 @@
-"""Exception hierarchy. Every error carries a stable machine-readable code."""
+"""Exception hierarchy: the errors a command reports, each with a stable
+machine-readable code, the first word of its one stderr line."""
 
 
 class WfmigError(Exception):
@@ -10,18 +11,6 @@ class WfmigError(Exception):
         super().__init__(message)
         if code is not None:
             self.code = code
-
-
-class NotEnabledError(WfmigError):
-    """A transition was fired from a marking in which it is not enabled."""
-
-    code = "NOT_ENABLED"
-
-
-class UnsafeFiringError(WfmigError):
-    """Firing would put a second token into a place (net is not 1-bounded)."""
-
-    code = "UNSAFE_FIRING"
 
 
 class StateLimitError(WfmigError):
@@ -40,12 +29,6 @@ class UnsafeNetError(WfmigError):
     """Exploration discovered a firing that violates 1-boundedness."""
 
     code = "UNSAFE_NET"
-
-
-class BoundTooSmallError(WfmigError):
-    """Oracle enumeration was asked to use a bound below the sufficiency bound."""
-
-    code = "BOUND_TOO_SMALL"
 
 
 class NetFormatError(WfmigError):

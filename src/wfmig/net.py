@@ -1,17 +1,18 @@
-"""Workflow-net core: net structure, markings, the token game, structural checks.
+"""Workflow-net core: net structure, markings, structural checks.
 
 A marking is a plain ``frozenset`` of place names; nets are 1-bounded so a
 place either holds a token or it does not.  Its one text form is its key,
 the comma-joined sorted place names (``marking_key``), printed in braces
 (``key_label``).  All types are immutable after construction and every
-operation here is a pure function.
+operation here is a pure function.  The token game is played on int masks
+by ``reachability.build_reachability``.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .errors import NetFormatError, NotEnabledError, UnsafeFiringError
+from .errors import NetFormatError
 
 
 def _repeated(items):
@@ -39,6 +40,10 @@ def _scan(places, labels, arcs, initial):
         if "," in n:
             # marking keys, --marking and tts lines are comma-joined
             raise NetFormatError("%s contains ',': %r" % (kind, n),
+                                 code="PARSE_ERROR")
+        if n.splitlines() != [n]:
+            # a line of output holds one key, TTS or table row
+            raise NetFormatError("%s contains a line break: %r" % (kind, n),
                                  code="PARSE_ERROR")
         if is_place and n != n.strip():
             # --marking arguments are stripped name by name
@@ -114,9 +119,9 @@ class WFNet:
     The constructor owns the name, arc and marking rules, each checked over
     whole lists (``_scan`` only names a fault): an initial marking of
     declared places listed once; place names and labels that are non-empty,
-    unique, hold no ``,`` and encode as UTF-8, place names without leading
-    or trailing whitespace; arcs listed once, with known and bipartite
-    endpoints.  Workflow-net structure is checked by
+    unique, hold no ``,`` and no line break and encode as UTF-8, place
+    names without leading or trailing whitespace; arcs listed once, with
+    known and bipartite endpoints.  Workflow-net structure is checked by
     :func:`validate_structural` and reported, not raised.  Place names and
     transition labels share one namespace, and one ``_pre`` and one
     ``_post`` map over it hold the arcs: the nodes one arc before and one
@@ -144,7 +149,9 @@ class WFNet:
         if not (place_set.issuperset(initial)
                 and len(frozenset(initial)) == len(initial)
                 and len(pre) == len(names) and all(names)
-                and "," not in joined and list(map(str.strip, places)) == places
+                and "," not in joined
+                and "".join(joined.splitlines()) == joined
+                and list(map(str.strip, places)) == places
                 and joined.encode("utf-8", "replace").decode("utf-8") == joined
                 and len(self.arcs) == len(arcs)
                 and all((a in place_set) != (b in place_set)
@@ -157,14 +164,6 @@ class WFNet:
             src = self.source_places()
             initial = src if len(src) == 1 else ()
         self.initial_marking = frozenset(initial)
-
-    def inputs(self, label):
-        """Input places of a transition."""
-        return frozenset(self._pre[label])
-
-    def outputs(self, label):
-        """Output places of a transition."""
-        return frozenset(self._post[label])
 
     def source_places(self):
         return {p for p in self.places if not self._pre[p]}
@@ -187,31 +186,6 @@ class WFNet:
     def __repr__(self):
         return "WFNet(%r, |P|=%d, |T|=%d, |F|=%d)" % (
             self.name, len(self.places), len(self.transitions), len(self.arcs))
-
-
-def enabled(net, marking):
-    """Transitions whose every input place is marked."""
-    return {t.label for t in net.transitions if net.inputs(t.label) <= marking}
-
-
-def fire(net, marking, label):
-    """Fire a transition: consume input tokens, produce output tokens.
-
-    Raises NotEnabledError if some input place is unmarked, and
-    UnsafeFiringError if an output place would receive a second token
-    (1-boundedness violation).  Self-loop places are consumed and re-produced.
-    """
-    ins = net.inputs(label)
-    if not ins <= marking:
-        raise NotEnabledError("transition %r is not enabled in %s"
-                              % (label, key_label(marking_key(marking))))
-    outs = net.outputs(label)
-    clash = outs & (marking - ins)
-    if clash:
-        raise UnsafeFiringError(
-            "firing %r would put a second token in %s"
-            % (label, marking_key(clash)))
-    return (marking - ins) | outs
 
 
 def _reach(start, step):

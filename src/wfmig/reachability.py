@@ -11,9 +11,10 @@ A node's key (``marking_key``: its places, comma-joined; names cannot
 contain ``,``) is its only text form, built on demand where output, an
 error message or a ``--marking`` lookup needs it.  This one form is the
 graph every reader walks: the engines, and the reference code the tests
-check them against (the paper's fixpoint, the oracle).  The DOT export is
-one generator of lines (``dot_lines``), which ``reach --dot`` writes as
-they come; ``to_dot`` joins them.
+check them against (the paper's fixpoint, the oracle in
+``tests/reference.py``).  The DOT export is one generator of lines
+(``dot_lines``), which ``reach --dot`` writes as they come; ``to_dot``
+joins them.
 
 The breadth-first search plays the token game on ints: each transition has
 a ``pre`` and a ``post`` mask, is enabled at marking ``m`` when
@@ -21,9 +22,9 @@ a ``pre`` and a ``post`` mask, is enabled at marking ``m`` when
 a non-empty preset belongs to the lowest place of its preset, since it can
 only be enabled where that place is marked; a marking's candidates are the
 transitions of its marked places plus those with an empty preset.
-``net.enabled`` and ``net.fire`` are the frozenset form of the same game,
-kept as the reference the kernel is tested against; a firing that would
-break 1-boundedness is reported here, with the same message.
+``tests/reference.py`` plays the frozenset form of the same game, the
+reference the kernel is tested against; a firing that would break
+1-boundedness is reported here, with the same message.
 """
 
 from bisect import bisect_left
@@ -223,6 +224,7 @@ def dot_lines(graph):
     yield "}\n"
 
 
+# kept in the package: bench/tracer.py wraps it by module attribute
 def to_dot(graph):
     """The whole DOT text of ``dot_lines``, as one string."""
     return "".join(dot_lines(graph))

@@ -18,7 +18,8 @@ seed paths absorb every elementary cycle touching a node already covered,
 until a fixpoint (``tts_for_node``).  It walks the same int graph by node
 and edge id, a path or a cycle being a tuple of edge ids, and gives
 frozensets of label strings.  Its depth-first walks keep explicit stacks,
-so a path of any length fits.
+so a path of any length fits.  No command runs it; it stays in the package
+because the benchmark's traced run wraps three of its functions here.
 """
 
 from dataclasses import dataclass
@@ -96,6 +97,7 @@ def _elementary_paths(graph, start, target, floor=-1):
                 on_path.discard(to[path.pop()])
 
 
+# kept in the package: bench/tracer.py wraps it by module attribute
 def find_simple_paths(graph, src, dst):
     """All elementary (node-repetition-free) directed paths from src to dst.
 
@@ -107,6 +109,7 @@ def find_simple_paths(graph, src, dst):
     return [path for path, _ in _elementary_paths(graph, src, dst)]
 
 
+# kept in the package: bench/tracer.py wraps it by module attribute
 def find_cycles(graph):
     """All elementary circuits of the graph, each in canonical rotation.
 
@@ -126,6 +129,7 @@ def attachable_cycles(edge_set, cycles):
     return {c for c in cycles if c.node_set & edge_set.nodes}
 
 
+# kept in the package: bench/tracer.py wraps it by module attribute
 def expand_with_cycles(seeds, cycles):
     """Least fixpoint of cycle absorption over the seed edge sets.
 

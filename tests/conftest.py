@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from wfmig import (Transition, WFNet, build_reachability, parse_net, purge,
-                   tts_all)
-from wfmig.oracle import oracle_tts
+from wfmig import Transition, WFNet, build_reachability, parse_net, tts_all
+from wfmig.equivalence import purge
 from wfmig.reachability import mask_names
+
+from reference import oracle_tts
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -30,9 +31,8 @@ def long_sequence_net(n):
                  name="sequence-%d" % n)
 
 
-def par_redo_net(k, n):
-    """A fork into k branches of n tasks each, then a join; every branch
-    has a redo transition from its last place back to its first."""
+def par_net(k, n):
+    """A fork into k branches of n tasks each, then a join."""
     places, labels = ["s", "e"], ["fork", "join"]
     arcs = [("s", "fork"), ("join", "e")]
     for b in range(k):
@@ -42,9 +42,18 @@ def par_redo_net(k, n):
         for i in range(n):
             labels.append("T%d_%d" % (b, i))
             arcs += [(branch[i], labels[-1]), (labels[-1], branch[i + 1])]
-        labels.append("R%d" % b)
-        arcs += [(branch[-1], labels[-1]), (labels[-1], branch[0])]
-    return WFNet(places, labels, arcs, name="par-redo-%d-%d" % (k, n))
+    return WFNet(places, labels, arcs, name="par-%d-%d" % (k, n))
+
+
+def par_redo_net(k, n):
+    """``par_net(k, n)`` with a redo transition per branch, from its last
+    place back to its first."""
+    net = par_net(k, n)
+    redo = ["R%d" % b for b in range(k)]
+    arcs = [arc for b, r in enumerate(redo)
+            for arc in (("b%d_%d" % (b, n), r), (r, "b%d_0" % b))]
+    return WFNet(sorted(net.places), list(net.transitions) + redo,
+                 sorted(net.arcs) + arcs, name="par-redo-%d-%d" % (k, n))
 
 
 def with_empty_transitions(net, seed, share=0.3):

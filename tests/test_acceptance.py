@@ -5,16 +5,16 @@ import time
 
 import pytest
 
-from wfmig import (build_reachability, change_region,
-                   find_equivalence_mapping, tts_for_node,
+from wfmig import (GenParams, build_reachability, change_region,
+                   find_equivalence_mapping, random_wfnet,
                    validate_behavioral, validate_structural)
 from wfmig.cli import main
-from wfmig.oracle import GenParams, oracle_tts, random_wfnet
 from wfmig.tts import EdgeSet, attachable_cycles, find_cycles, \
-    find_simple_paths, label_set
+    find_simple_paths, label_set, tts_for_node
 
 from conftest import (FIXTURE_NAMES, fixture_net, fixture_path as fx,
                       label_families, oracle_mapping)
+from reference import oracle_tts
 
 
 class _Criterion:

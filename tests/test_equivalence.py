@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfmig import (Transition, WFNet, build_reachability, change_region,
-                   find_equivalence_mapping, purge, tts_all)
-from wfmig.oracle import GenParams, random_wfnet
+from wfmig import (GenParams, Transition, WFNet, build_reachability,
+                   change_region, find_equivalence_mapping, random_wfnet,
+                   tts_all)
+from wfmig.equivalence import purge
 from wfmig.reachability import mask_names
 
 from conftest import (fixture_net, oracle_mapping, par_redo_net,

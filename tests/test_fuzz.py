@@ -19,7 +19,8 @@ from wfmig.cli import main
 
 from conftest import SURROGATE
 
-TEXT = st.text(alphabet=["s", "m", "A", "x", "y", "\xe9", ",", "\ud800"],
+TEXT = st.text(alphabet=["s", "m", "A", "x", "y", "\xe9", ",", "\n",
+                         "\ud800"],
                min_size=1, max_size=2)
 
 MUTATIONS = ("drop_arc", "add_arc", "weighted_arc", "arc_by_label",

@@ -13,17 +13,25 @@ from hypothesis import example, given, settings, strategies as st
 
 from wfmig import (GenParams, MappingTable, NetFormatError, Transition,
                    WFNet, build_reachability, find_equivalence_mapping,
-                   parse_net, random_wfnet, serialize_net, to_dot)
+                   parse_net, random_wfnet, serialize_net)
 from wfmig import cli, netformat
 from wfmig.cli import main
 from wfmig.net import _scan as scan_net_rules
 from wfmig.netformat import emit_json, mapping_document
-from wfmig.oracle import oracle_tts
+from wfmig.reachability import to_dot
 
 from conftest import (FIXTURE_NAMES, GOLDEN, ROOT, SURROGATE, fixture_net,
                       fixture_path as fx, long_sequence_net, par_redo_net,
                       with_empty_transitions)
+from reference import oracle_tts
 from test_fuzz import net_documents
+
+# s -"x\ny"-> e and s -x-> m -y-> e: one printed line per TTS would show
+# the TTS {"x\ny"} on the lines "{x" and "y}"
+LINE_BREAK_LABEL = (
+    '{"places": ["s", "m", "e"], "transitions": ["x\\ny", "x", "y"],'
+    ' "arcs": [["s", "x\\ny"], ["x\\ny", "e"], ["s", "x"], ["x", "m"],'
+    ' ["m", "y"], ["y", "e"]]}')
 
 # s -t-> " m" -u-> e: the middle place name starts with a space
 SPACED = ('{"places": ["s", " m", "e"], "transitions": ["t", "u"],'
@@ -179,6 +187,20 @@ PARSE_ERRORS = [
      ' "arcs": [["s", "x,y"], ["x,y", "e"], ["s", "x"], ["x", "m"],'
      ' ["m", "y"], ["y", "e"]]}',
      "PARSE_ERROR: transition label contains ',': 'x,y'"),
+    # a line break in a name would split a line of output in two
+    (LINE_BREAK_LABEL,
+     "PARSE_ERROR: transition label contains a line break: 'x\\ny'"),
+    # ... also at the end of a name, where the whitespace rule would apply
+    ('{"places": ["s", "x\\n", "e"], "transitions": ["t", "u"],'
+     ' "arcs": [["s", "t"], ["t", "x\\n"], ["x\\n", "u"], ["u", "e"]]}',
+     "PARSE_ERROR: place name contains a line break: 'x\\n'"),
+    ('{"places": ["s", "e"], "transitions": ["\\r"],'
+     ' "arcs": [["s", "\\r"], ["\\r", "e"]]}',
+     "PARSE_ERROR: transition label contains a line break: '\\r'"),
+    ('{"places": ["s", "\\u2028", "e"], "transitions": ["t", "u"],'
+     ' "arcs": [["s", "t"], ["t", "\\u2028"], ["\\u2028", "u"],'
+     ' ["u", "e"]]}',
+     "PARSE_ERROR: place name contains a line break: '\\u2028'"),
     # arcs name ids and places alike: m -> B would silently become A -> B
     ('{"places": ["s", "m", "e"],'
      ' "transitions": [{"id": "m", "label": "A"}, "B"],'
@@ -277,6 +299,8 @@ MULTI_FAULTS = [
      "DUPLICATE_NAME: duplicate place name: 'a'"),
     (_doc([" a", " a"], ["t"], []),
      "PARSE_ERROR: place name has leading or trailing whitespace: ' a'"),
+    (_doc(["s", " m\n", "e", "e"], ["t", "z\r", "x,y"], SEQ),
+     "PARSE_ERROR: place name contains a line break: ' m\\n'"),
     (_doc(["s", "e"], [{"id": "q", "label": "s"}, "x,y"],
           [["s", "q"], ["q", "e"]]),
      "DUPLICATE_NAME: duplicate name: 's'"),
@@ -622,6 +646,17 @@ def test_cli_parse_error_is_usage_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "validate", str(bad))
     assert code == 2
     assert "PARSE_ERROR" in err
+
+
+def test_cli_line_break_in_a_name_is_one_parse_error_line(capsys, tmp_path):
+    path = tmp_path / "line-break.json"
+    path.write_text(LINE_BREAK_LABEL, encoding="utf-8")
+    for argv in [("tts", str(path), "--marking", "e"),
+                 ("map", "--old", str(path), "--new", str(path)),
+                 ("validate", str(path))]:
+        assert run_cli(capsys, *argv) == (
+            2, "", "PARSE_ERROR: transition label contains a line break: "
+                   "'x\\ny'\n"), argv
 
 
 def test_cli_hidden_gen_net_roundtrip(capsys):

@@ -1,14 +1,12 @@
 import pytest
 
-from wfmig import (BoundTooSmallError, build_reachability, find_cycles,
-                   find_simple_paths, validate_behavioral,
-                   validate_structural)
-from wfmig.netformat import serialize_net
-from wfmig.oracle import (GenParams, _cycle_length_total, oracle_tts,
-                          random_wfnet, sufficiency_bound)
-from wfmig.tts import label_set
+from wfmig import (GenParams, build_reachability, random_wfnet,
+                   serialize_net, validate_behavioral, validate_structural)
+from wfmig.tts import find_cycles, find_simple_paths, label_set
 
 from conftest import long_sequence_net, par_redo_net
+from reference import (BoundTooSmallError, _cycle_length_total, oracle_tts,
+                       sufficiency_bound)
 
 
 def test_fig4_p2_with_explicit_bound(fig4_net):

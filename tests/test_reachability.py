@@ -1,15 +1,13 @@
-from collections import deque
-
 import pytest
 
-from wfmig import (NetFormatError, StateLimitError, UnsafeFiringError,
-                   UnsafeNetError, WFNet, build_reachability, enabled, fire,
-                   marking_key, to_dot, validate_behavioral)
-from wfmig.oracle import GenParams, random_wfnet
-from wfmig.reachability import DEFAULT_MAX_STATES
+from wfmig import (GenParams, NetFormatError, StateLimitError, UnsafeNetError,
+                   WFNet, build_reachability, marking_key, random_wfnet,
+                   validate_behavioral)
+from wfmig.reachability import DEFAULT_MAX_STATES, to_dot
 
 from conftest import (FIXTURE_NAMES, GOLDEN, fixture_net, long_sequence_net,
                       par_redo_net)
+from reference import fire, reference_reachability
 
 
 def test_sequence_graph(sequence_net):
@@ -93,26 +91,11 @@ def test_edges_replay(fig6_net):
                     == keys[g.dst[e]])
 
 
-def _exhaustive_markings(net):
-    """Independent token-game enumeration, order-free recursion."""
-    seen = set()
-
-    def explore(m):
-        if m in seen:
-            return
-        seen.add(m)
-        for label in enabled(net, m):
-            explore(fire(net, m, label))
-
-    explore(net.initial_marking)
-    return seen
-
-
 @pytest.mark.parametrize("seed", range(25))
 def test_completeness_against_exhaustive_enumeration(seed):
     net = random_wfnet(GenParams(seed=seed, max_places=8))
     g = build_reachability(net)
-    assert set(g.keys()) == {marking_key(m) for m in _exhaustive_markings(net)}
+    assert set(g.keys()) == set(reference_reachability(net)[0])
 
 
 def test_each_source_lists_its_edges_in_strictly_increasing_label_order():
@@ -166,43 +149,8 @@ def test_to_dot_goldens(sequence_net, fig4_net):
 
 # ---------------------------------------------------------------------------
 # build_reachability's bitmask token game against the frozenset token game
-# of ``enabled`` and ``fire``, which it must reproduce exactly.
-
-def reference_reachability(net, max_states=DEFAULT_MAX_STATES):
-    """BFS that checks every transition at every marking with ``enabled``
-    and builds every successor with ``fire``.  Gives the marking keys in
-    discovery order, each one's ``(label, successor key)`` list in firing
-    order, and the initial and terminal keys."""
-    if max_states < 1:
-        raise ValueError("max_states must be >= 1")
-    init_key = marking_key(net.initial_marking)
-    marking = {init_key: net.initial_marking}
-    order, succ = [init_key], []
-    queue = deque([init_key])
-    while queue:
-        key = queue.popleft()
-        out = []
-        for label in sorted(enabled(net, marking[key])):
-            try:
-                nxt = fire(net, marking[key], label)
-            except UnsafeFiringError as exc:
-                raise UnsafeNetError(
-                    "net is not 1-bounded: %s" % exc) from exc
-            nxt_key = marking_key(nxt)
-            if nxt_key not in marking:
-                if len(order) + 1 > max_states:
-                    raise StateLimitError(
-                        "reachability exceeds %d states" % max_states)
-                marking[nxt_key] = nxt
-                order.append(nxt_key)
-                queue.append(nxt_key)
-            out.append((label, nxt_key))
-        succ.append(out)
-    sink_key = marking_key(net.sink_places())
-    terminal = (sink_key if len(net.sink_places()) == 1
-                and sink_key in marking else None)
-    return order, succ, init_key, terminal
-
+# of ``reference.enabled`` and ``reference.fire``, which it must reproduce
+# exactly.
 
 def assert_same_graph(net, max_states=DEFAULT_MAX_STATES):
     """The kernel's CSR graph, decoded to keys, equals the reference's:

@@ -8,31 +8,17 @@ import tracemalloc
 import pytest
 
 from wfmig import (GenParams, WFNet, build_reachability,
-                   find_equivalence_mapping, random_wfnet, serialize_net,
-                   to_dot)
+                   find_equivalence_mapping, random_wfnet, serialize_net)
 from wfmig import cli, netformat
 from wfmig.cli import main
+from wfmig.reachability import to_dot
 
 from conftest import (FIXTURE_NAMES, fixture_net, long_sequence_net,
-                      par_redo_net, with_empty_transitions)
+                      par_net, par_redo_net, with_empty_transitions)
 
 EMIT = {"table": netformat.emit_table, "json": netformat.emit_json,
         "csv": netformat.emit_csv}
 VALID_FIXTURES = [name for name in FIXTURE_NAMES if name != "fig2b"]
-
-
-def par_net(k, n):
-    """A fork into k branches of n tasks each, then a join."""
-    places, labels = ["s", "e"], ["fork", "join"]
-    arcs = [("s", "fork"), ("join", "e")]
-    for b in range(k):
-        branch = ["b%d_%d" % (b, i) for i in range(n + 1)]
-        places += branch
-        arcs += [("fork", branch[0]), (branch[-1], "join")]
-        for i in range(n):
-            labels.append("T%d_%d" % (b, i))
-            arcs += [(branch[i], labels[-1]), (labels[-1], branch[i + 1])]
-    return WFNet(places, labels, arcs, name="par-%d-%d" % (k, n))
 
 
 def helper_sequence_net(n):

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from wfmig import (TtsLimitError, build_reachability, expand_with_cycles,
-                   find_cycles, find_simple_paths, purge, tts_all,
-                   tts_for_node)
+from wfmig import (GenParams, TtsLimitError, WFNet, build_reachability,
+                   random_wfnet, tts_all)
+from wfmig.equivalence import purge
 from wfmig.net import _reach
-from wfmig.oracle import GenParams, oracle_tts, random_wfnet
-from wfmig.tts import EdgeSet, attachable_cycles, label_set
+from wfmig.tts import (EdgeSet, attachable_cycles, expand_with_cycles,
+                       find_cycles, find_simple_paths, label_set,
+                       tts_for_node)
 
 from conftest import (FIXTURE_NAMES, fixture_net, label_families,
                       long_sequence_net, par_redo_net, with_empty_transitions)
+from reference import oracle_tts
 
 FIG4_P2_FAMILY = {
     frozenset({"T0"}),
@@ -67,7 +69,6 @@ def test_same_node_yields_empty_path(fig4_graph):
 
 
 def test_diamond_two_paths():
-    from wfmig import WFNet
     net = WFNet(places=["a", "b", "c", "d"], transitions=["t1", "t2", "t3",
                                                           "t4"],
                 arcs=[("a", "t1"), ("t1", "b"), ("a", "t2"), ("t2", "c"),
@@ -107,7 +108,6 @@ def test_fig6_cycles(fig6_graph):
 
 
 def test_self_loop_is_a_cycle():
-    from wfmig import WFNet
     net = WFNet(places=["s", "a", "b"], transitions=["v", "t", "u"],
                 arcs=[("s", "v"), ("v", "a"),
                       ("a", "t"), ("t", "a"), ("a", "u"), ("u", "b")])
@@ -275,7 +275,6 @@ def test_closure_matches_oracle_on_parallel_redo_net():
 def test_fixpoint_attaches_a_cycle_through_the_initial_marking():
     """s -a-> m -b-> s: the empty seed path of {s} covers only s, and the
     cycle must still attach there."""
-    from wfmig import WFNet
     net = WFNet(places=["s", "m", "e"], transitions=["a", "b", "c"],
                 arcs=[("s", "a"), ("a", "m"), ("m", "b"), ("b", "s"),
                       ("m", "c"), ("c", "e")], initial_marking={"s"})
