@@ -10,7 +10,8 @@ by ``reachability.build_reachability``.
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cached_property
+from itertools import chain, filterfalse
 
 from .errors import NetFormatError
 
@@ -40,6 +41,10 @@ def _scan(places, labels, arcs, initial):
         if "," in n:
             # marking keys, --marking and tts lines are comma-joined
             raise NetFormatError("%s contains ',': %r" % (kind, n),
+                                 code="PARSE_ERROR")
+        if is_place and ";" in n:
+            # a csv row joins the keys of its equivalents with ';'
+            raise NetFormatError("place name contains ';': %r" % n,
                                  code="PARSE_ERROR")
         if n.splitlines() != [n]:
             # a line of output holds one key, TTS or table row
@@ -94,6 +99,27 @@ class Transition:
     is_empty: bool = False
 
 
+def _label_lists(transitions):
+    """The sorted labels of ``transitions`` and the labels of its empty
+    ones.  A bare string is a regular transition's label, a ``Transition``
+    gives its own, and anything else ``t`` is ``Transition(str(t))``.
+    ``filter`` with ``str.__instancecheck__`` (``isinstance(x, str)``)
+    parts the strings from the rest in C."""
+    if set(map(type, transitions)) <= {str}:
+        return sorted(transitions), ()
+    labels = list(filter(str.__instancecheck__, transitions))
+    empty = []
+    for t in filterfalse(str.__instancecheck__, transitions):
+        if isinstance(t, Transition):
+            labels.append(t.label)
+            if t.is_empty:
+                empty.append(t.label)
+        else:
+            labels.append(str(t))
+    labels.sort()
+    return labels, empty
+
+
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -120,72 +146,94 @@ class WFNet:
     whole lists (``_scan`` only names a fault): an initial marking of
     declared places listed once; place names and labels that are non-empty,
     unique, hold no ``,`` and no line break and encode as UTF-8, place
-    names without leading or trailing whitespace; arcs listed once, with
-    known and bipartite endpoints.  Workflow-net structure is checked by
-    :func:`validate_structural` and reported, not raised.  Place names and
-    transition labels share one namespace, and one ``_pre`` and one
-    ``_post`` map over it hold the arcs: the nodes one arc before and one
-    arc after each place or label, in arc order.
+    names without ``;`` and without leading or trailing whitespace; arcs
+    listed once, with known and bipartite endpoints.  Workflow-net
+    structure is checked by :func:`validate_structural` and reported, not
+    raised.  A transition is given as a ``Transition`` or as its bare
+    label; the net keeps ``sorted_labels`` and ``empty_labels`` and builds
+    the ``Transition`` objects (``transitions``) only on first use.  Place
+    names and transition labels share one namespace, and one ``_pre`` and
+    one ``_post`` map over it hold the arcs: the nodes one arc before and
+    one arc after each place or label, in arc order.
     """
 
     def __init__(self, places, transitions, arcs, initial_marking=None, name=""):
         self.name = name
         places = list(places)
         self.places = place_set = frozenset(places)
-        self.transitions = tuple(sorted(
-            [t if isinstance(t, Transition) else Transition(str(t))
-             for t in transitions], key=attrgetter("label")))
-        labels = [t.label for t in self.transitions]
+        labels, empty = _label_lists(list(transitions))
+        self.sorted_labels = tuple(labels)
         self.labels = frozenset(labels)
-        self.empty_labels = frozenset(t.label for t in self.transitions if t.is_empty)
-        arcs = [tuple(a) for a in arcs]
+        self.empty_labels = frozenset(empty)
+        arcs = list(map(tuple, arcs))
         self.arcs = frozenset(arcs)
         self.explicit_initial = initial_marking is not None
         initial = list(initial_marking) if self.explicit_initial else []
+        place_text = "".join(places)
+        joined = place_text + "".join(labels)
         names = places + labels
-        joined = "".join(names)
         self._pre = pre = {n: [] for n in names}
         self._post = post = {n: [] for n in names}
-        if not (place_set.issuperset(initial)
+        try:
+            for src, dst in arcs:
+                post[src].append(dst)
+                pre[dst].append(src)
+        except (KeyError, ValueError):  # an unknown endpoint, not a pair
+            grouped = False
+        else:
+            grouped = True
+        # with every arc grouped, it is bipartite when each place's
+        # postset holds labels only and each label's postset places only
+        into = set(chain.from_iterable(map(post.__getitem__, labels)))
+        if not (grouped and place_set.issuperset(initial)
                 and len(frozenset(initial)) == len(initial)
                 and len(pre) == len(names) and all(names)
-                and "," not in joined
+                and "," not in joined and ";" not in place_text
                 and "".join(joined.splitlines()) == joined
                 and list(map(str.strip, places)) == places
                 and joined.encode("utf-8", "replace").decode("utf-8") == joined
                 and len(self.arcs) == len(arcs)
-                and all((a in place_set) != (b in place_set)
-                        and a in pre and b in pre for a, b in arcs)):
+                and place_set.issuperset(into)
+                and self.labels.issuperset(chain.from_iterable(
+                    map(post.__getitem__, places)))):
             _scan(places, labels, arcs, initial)
-        for src, dst in arcs:
-            post[src].append(dst)
-            pre[dst].append(src)
+        self._sources = place_set - into
+        self._sinks = place_set.difference(chain.from_iterable(
+            map(pre.__getitem__, labels)))
         if not self.explicit_initial:
-            src = self.source_places()
-            initial = src if len(src) == 1 else ()
+            initial = self._sources if len(self._sources) == 1 else ()
         self.initial_marking = frozenset(initial)
 
+    @cached_property
+    def transitions(self):
+        """The ``Transition`` of each label, in sorted label order; built
+        on first use."""
+        empty = self.empty_labels
+        return tuple([Transition(label, label in empty)
+                      for label in self.sorted_labels])
+
     def source_places(self):
-        return {p for p in self.places if not self._pre[p]}
+        return set(self._sources)
 
     def sink_places(self):
-        return {p for p in self.places if not self._post[p]}
+        return set(self._sinks)
 
     def __eq__(self, other):
         if not isinstance(other, WFNet):
             return NotImplemented
         return (self.places == other.places
-                and self.transitions == other.transitions
+                and self.sorted_labels == other.sorted_labels
+                and self.empty_labels == other.empty_labels
                 and self.arcs == other.arcs
                 and self.initial_marking == other.initial_marking)
 
     def __hash__(self):
-        return hash((self.places, self.transitions, self.arcs,
-                     self.initial_marking))
+        return hash((self.places, self.sorted_labels, self.empty_labels,
+                     self.arcs, self.initial_marking))
 
     def __repr__(self):
         return "WFNet(%r, |P|=%d, |T|=%d, |F|=%d)" % (
-            self.name, len(self.places), len(self.transitions), len(self.arcs))
+            self.name, len(self.places), len(self.labels), len(self.arcs))
 
 
 def _reach(start, step):

@@ -34,11 +34,12 @@ def _expect(cond, message, code="PARSE_ERROR"):
 
 def parse_net(text):
     """Parse a net document and build the net; workflow-structure
-    validation is left to the caller.  This reads the document's shape and
-    resolves every arc endpoint in one comprehension, a place to itself and
-    a transition id (never a label that is not also an id) to its label;
-    ``WFNet`` checks the name, arc and marking rules.  Of several faults,
-    the one reported is not specified, but it is deterministic."""
+    validation is left to the caller.  This reads the document's shape,
+    checks the transition entries over whole lists and resolves every arc
+    endpoint in one comprehension, a place to itself and a transition id
+    (never a label that is not also an id) to its label; ``WFNet`` checks
+    the name, arc and marking rules.  Of several faults, the one reported
+    is not specified, but it is deterministic."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -64,16 +65,69 @@ def parse_net(text):
     # arcs name places and transition ids alike: each endpoint maps to the
     # node it names, a place to itself and an id to its label
     node_of = dict(zip(places, places))
+    transitions = _entries(raw["transitions"], node_of)
+
+    arcs = _resolve(raw["arcs"], node_of)
+
+    initial = raw.get("initial_marking")
+    if initial is not None:
+        _expect(isinstance(initial, list)
+                and all(isinstance(p, str) for p in initial),
+                "'initial_marking' must be a list of place names")
+
+    name = raw.get("name", "")
+    _expect(isinstance(name, str), "'name' must be a string")
+    return WFNet(places, transitions, arcs, initial_marking=initial, name=name)
+
+
+_ENTRY_KEYS = {"id", "label", "empty"}
+
+
+def _entries(entries, node_of):
+    """The transitions of the entries, as ``WFNet`` takes them: a bare
+    string is a regular transition's label, and an object is an empty
+    ``Transition`` or its label.  Each id is added to ``node_of``, mapped to
+    its label.  The bare strings are checked over the whole list and the
+    objects, few in a net, one by one; ``filter`` with
+    ``str.__instancecheck__`` (``isinstance(x, str)``) parts the two in C.
+    When some check fails, ``_scan_entries`` names the fault."""
+    if set(map(type, entries)) <= {str, dict}:
+        transitions = list(filter(str.__instancecheck__, entries))
+        ids = transitions.copy()
+        named = []
+        for entry in filter(dict.__instancecheck__, entries):
+            tid = entry.get("id")
+            label = entry.get("label", tid)
+            empty = entry.get("empty", False)
+            if not (entry.keys() <= _ENTRY_KEYS and type(tid) is str
+                    and type(label) is str and label
+                    and type(empty) is bool
+                    and (tid == label or tid not in node_of)):
+                break
+            ids.append(tid)
+            named.append((tid, label))
+            transitions.append(Transition(label, True) if empty else label)
+        else:
+            if all(ids) and len(frozenset(ids)) == len(ids):
+                node_of.update(zip(ids, ids))
+                node_of.update(named)
+                return transitions
+    return _scan_entries(entries, node_of)
+
+
+def _scan_entries(entries, node_of):
+    """``_entries`` entry by entry, in order: raises for the first bad
+    entry."""
     ids = set()
     transitions = []
-    for entry in raw["transitions"]:
+    for entry in entries:
         if isinstance(entry, str):
             tid = label = entry
             empty = False
         else:
             _expect(isinstance(entry, dict), "transition entries must be "
                                              "strings or objects")
-            _expect(not set(entry) - {"id", "label", "empty"},
+            _expect(not set(entry) - _ENTRY_KEYS,
                     "transition entry keys are id, label, empty")
             tid = entry.get("id")
             label = entry.get("label", tid)
@@ -92,19 +146,8 @@ def parse_net(text):
         _expect(isinstance(empty, bool), "'empty' must be a boolean")
         ids.add(tid)
         node_of[tid] = label
-        transitions.append(Transition(label, empty))
-
-    arcs = _resolve(raw["arcs"], node_of)
-
-    initial = raw.get("initial_marking")
-    if initial is not None:
-        _expect(isinstance(initial, list)
-                and all(isinstance(p, str) for p in initial),
-                "'initial_marking' must be a list of place names")
-
-    name = raw.get("name", "")
-    _expect(isinstance(name, str), "'name' must be a string")
-    return WFNet(places, transitions, arcs, initial_marking=initial, name=name)
+        transitions.append(Transition(label, True) if empty else label)
+    return transitions
 
 
 def _resolve(arcs, node_of):

@@ -6,7 +6,7 @@ with them, in ``tests/reference.py``.
 import random
 from dataclasses import dataclass
 
-from .net import Transition, WFNet
+from .net import WFNet
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class _NetBuilder:
 
     def task(self, inputs, outputs):
         label = "T%d" % len(self.transitions)
-        self.transitions.append(Transition(label))
+        self.transitions.append(label)
         for p in inputs:
             self.arcs.append((p, label))
         for p in outputs:

@@ -21,7 +21,8 @@ a ``pre`` and a ``post`` mask, is enabled at marking ``m`` when
 ``m & pre == pre`` and leads to ``(m & ~pre) | post``.  Each transition with
 a non-empty preset belongs to the lowest place of its preset, since it can
 only be enabled where that place is marked; a marking's candidates are the
-transitions of its marked places plus those with an empty preset.
+transitions of its marked places, each place's list found by the bit
+position of its bit, plus those with an empty preset.
 ``tests/reference.py`` plays the frozenset form of the same game, the
 reference the kernel is tested against; a firing that would break
 1-boundedness is reported here, with the same message.
@@ -116,22 +117,23 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
         raise ValueError("max_states must be >= 1")
     places = tuple(sorted(net.places))
     bit = {p: 1 << i for i, p in enumerate(places)}
-    labels = [t.label for t in net.transitions]
+    labels = net.sorted_labels
+    pre_of, post_of = net._pre, net._post
     pres, posts = [], []
-    free = []                                   # empty preset
-    owned = {}                                  # lowest input bit -> ts
+    # owned[n]: the transitions whose lowest input place has bit n - 1,
+    # listed by the bit_length of that bit; owned[0] holds the ones with an
+    # empty preset
+    owned = [[] for _ in range(len(places) + 1)]
     for t, label in enumerate(labels):
         pre = post = 0
-        for p in net._pre[label]:
+        for p in pre_of[label]:
             pre |= bit[p]
-        for p in net._post[label]:
+        for p in post_of[label]:
             post |= bit[p]
         pres.append(pre)
         posts.append(post)
-        if pre:
-            owned.setdefault(pre & -pre, []).append(t)
-        else:
-            free.append(t)
+        owned[(pre & -pre).bit_length()].append(t)
+    free = owned[0]
 
     m0 = sum(bit[p] for p in net.initial_marking)
     masks, index = [m0], {m0: 0}
@@ -141,7 +143,7 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
         rest = m
         while rest:
             low = rest & -rest
-            cands += owned.get(low, ())
+            cands += owned[low.bit_length()]
             rest ^= low
         cands.sort()
         for t in cands:
@@ -156,13 +158,11 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
                                      "put a second token in %s"
                                      % (labels[t], clash))
             nxt = rest | post
-            j = index.get(nxt)
-            if j is None:
-                j = len(masks)
+            j = index.setdefault(nxt, len(masks))   # one hash per edge
+            if j == len(masks):
                 if j >= max_states:
                     raise StateLimitError(
                         "reachability exceeds %d states" % max_states)
-                index[nxt] = j
                 masks.append(nxt)
             lab.append(t)
             dst.append(j)

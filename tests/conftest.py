@@ -56,6 +56,35 @@ def par_redo_net(k, n):
                  sorted(net.arcs) + arcs, name="par-redo-%d-%d" % (k, n))
 
 
+def choice_net(m, n):
+    """A choice at s between m branches of n tasks each, all ending in e.
+    In sorted place order s comes last, so its m transitions all belong to
+    its bit, the highest one."""
+    places, labels, arcs = ["s", "e"], [], []
+    for b in range(m):
+        branch = ["s"] + ["p%d_%d" % (b, i) for i in range(1, n)] + ["e"]
+        places += branch[1:-1]
+        for i in range(n):
+            labels.append("t%d_%d" % (b, i))
+            arcs += [(branch[i], labels[-1]), (labels[-1], branch[i + 1])]
+    return WFNet(places, labels, arcs, name="choice-%d-%d" % (m, n))
+
+
+def shuffled_names(net, seed):
+    """The same net with its place names permuted among the places and its
+    labels among the transitions, by a seeded RNG: the same structure,
+    numbered in another sorted order."""
+    rng = random.Random(seed)
+    places, labels = sorted(net.places), list(net.sorted_labels)
+    to = dict(zip(places, rng.sample(places, len(places))))
+    to.update(zip(labels, rng.sample(labels, len(labels))))
+    return WFNet([to[p] for p in places],
+                 [Transition(to[t.label], t.is_empty)
+                  for t in net.transitions],
+                 [(to[a], to[b]) for a, b in net.arcs],
+                 [to[p] for p in net.initial_marking], name=net.name)
+
+
 def with_empty_transitions(net, seed, share=0.3):
     """The same net with about ``share`` of its transitions re-declared
     empty, chosen by a seeded RNG; it fires exactly like ``net``."""

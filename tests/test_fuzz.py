@@ -1,10 +1,11 @@
 """CLI fuzz: every net document ends in a result or a coded error.
 
 Documents are a small valid net with some names redrawn from an alphabet
-holding ``,`` and a lone surrogate, and shape mutations on top.  Each goes
-through ``validate`` and ``map`` in all three formats, with stdout and
-stderr as strict UTF-8 streams, so a name that cannot be printed fails the
-run instead of passing through a ``StringIO`` unnoticed.
+holding ``,``, ``;``, a line break and a lone surrogate, and shape
+mutations on top.  Each goes through ``validate`` and ``map`` in all three
+formats, with stdout and stderr as strict UTF-8 streams, so a name that
+cannot be printed fails the run instead of passing through a ``StringIO``
+unnoticed.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ from wfmig.cli import main
 
 from conftest import SURROGATE
 
-TEXT = st.text(alphabet=["s", "m", "A", "x", "y", "\xe9", ",", "\n",
+TEXT = st.text(alphabet=["s", "m", "A", "x", "y", "\xe9", ",", ";", "\n",
                          "\ud800"],
                min_size=1, max_size=2)
 

@@ -33,6 +33,10 @@ LINE_BREAK_LABEL = (
     ' "arcs": [["s", "x\\ny"], ["x\\ny", "e"], ["s", "x"], ["x", "m"],'
     ' ["m", "y"], ["y", "e"]]}')
 
+# s -t-> "e};{s": as a csv cell, the key {e};{s} reads as two markings
+SEMICOLON = ('{"places": ["s", "e};{s"], "transitions": ["t"],'
+             ' "arcs": [["s", "t"], ["t", "e};{s"]]}')
+
 # s -t-> " m" -u-> e: the middle place name starts with a space
 SPACED = ('{"places": ["s", " m", "e"], "transitions": ["t", "u"],'
           ' "arcs": [["s", "t"], ["t", " m"], [" m", "u"], ["u", "e"]]}')
@@ -201,6 +205,10 @@ PARSE_ERRORS = [
      ' "arcs": [["s", "t"], ["t", "\\u2028"], ["\\u2028", "u"],'
      ' ["u", "e"]]}',
      "PARSE_ERROR: place name contains a line break: '\\u2028'"),
+    # a csv row joins the keys of its equivalents with ';': mapping s -t-> e
+    # against this net would print the row {e},{e};{s},false
+    (SEMICOLON,
+     "PARSE_ERROR: place name contains ';': 'e};{s'"),
     # arcs name ids and places alike: m -> B would silently become A -> B
     ('{"places": ["s", "m", "e"],'
      ' "transitions": [{"id": "m", "label": "A"}, "B"],'
@@ -351,6 +359,33 @@ MULTI_FAULTS = [
           [{"id": "a", "label": "X"}, {"id": "b", "label": "X"}],
           [["s", "a"], ["a", "e"]]),
      "PARSE_ERROR: place name contains ',': 'a,b'"),
+    # entry faults before and after an object entry, where the whole-list
+    # check of the bare entries gives way to the ordered scan
+    (_doc(["s", "e"], ["", {"id": "u", "x": 1}], SEQ),
+     "PARSE_ERROR: transition id must be a non-empty string"),
+    (_doc(["s", "e"], [{"id": "u", "label": "U"}, 5], SEQ),
+     "PARSE_ERROR: transition entries must be strings or objects"),
+    (_doc(["s", "e"], [{"id": "u", "empty": True}, "t", "t"], SEQ),
+     "DUPLICATE_NAME: duplicate transition id 't'"),
+    (_doc(["s", "e"], ["t", {"id": "t", "label": "T"}, 3], SEQ),
+     "DUPLICATE_NAME: duplicate transition id 't'"),
+    (_doc(["s", "e"], [{"id": "u", "empty": "no"}, ""], SEQ),
+     "PARSE_ERROR: 'empty' must be a boolean"),
+    (_doc(["s", "e"], ["t", "", {"id": "s", "label": "S"}], SEQ),
+     "PARSE_ERROR: transition id must be a non-empty string"),
+    (_doc(["s", "e"], [{"id": "s", "label": "S"}, ""], SEQ),
+     "DUPLICATE_NAME: transition id 's' is also a place name"),
+    (_doc(["s", "e"], [{"id": "u", "label": ""}, "t", "t"], SEQ),
+     "PARSE_ERROR: transition label must be a non-empty string"),
+    # ';' is checked right after ',' and only in place names
+    (_doc(["s", "x;y,z", "e"], ["t"], SEQ),
+     "PARSE_ERROR: place name contains ',': 'x;y,z'"),
+    (_doc(["s", "a;b", "x,y", "e"], ["t"], SEQ),
+     "PARSE_ERROR: place name contains ';': 'a;b'"),
+    (_doc(["s", " a;b", "e"], ["t"], SEQ),
+     "PARSE_ERROR: place name contains ';': ' a;b'"),
+    (_doc(["s", "e"], ["t;u", "z,z"], [["s", "t;u"], ["t;u", "e"]]),
+     "PARSE_ERROR: transition label contains ',': 'z,z'"),
     # an id that is another transition's label names its own transition
     (_doc(["s", "e"], [{"id": "a", "label": "b"}, {"id": "b", "label": "c"}],
           [["s", "b"], ["b", "e"], ["s", "a"], ["a", "e"]]), None),
@@ -372,14 +407,17 @@ def _outcome(text):
 
 def _scanned(text):
     """``_outcome`` with the whole-list checks skipped: the ordered scans of
-    the arcs and of the net rules read the document and name its fault."""
+    the transition entries, of the arcs and of the net rules read the
+    document and name its fault."""
     def scanned_net(places, transitions, arcs, initial_marking=None,
                     name=""):
-        scan_net_rules(places, sorted(t.label for t in transitions), arcs,
+        labels = [t if isinstance(t, str) else t.label for t in transitions]
+        scan_net_rules(places, sorted(labels), arcs,
                        list(initial_marking or ()))
         return WFNet(places, transitions, arcs, initial_marking, name)
 
-    with mock.patch.object(netformat, "_resolve", netformat._scan), \
+    with mock.patch.object(netformat, "_entries", netformat._scan_entries), \
+            mock.patch.object(netformat, "_resolve", netformat._scan), \
             mock.patch.object(netformat, "WFNet", scanned_net):
         return _outcome(text)
 
@@ -659,11 +697,35 @@ def test_cli_line_break_in_a_name_is_one_parse_error_line(capsys, tmp_path):
                    "'x\\ny'\n"), argv
 
 
+def test_cli_semicolon_in_a_place_name_is_one_parse_error_line(capsys,
+                                                              tmp_path):
+    path = tmp_path / "semicolon.json"
+    path.write_text(SEMICOLON, encoding="utf-8")
+    for argv in [("map", "--old", fx("sequence"), "--new", str(path),
+                  "--format", "csv"),
+                 ("validate", str(path))]:
+        assert run_cli(capsys, *argv) == (
+            2, "", "PARSE_ERROR: place name contains ';': 'e};{s'\n"), argv
+
+
 def test_cli_hidden_gen_net_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "gen-net", "--seed", "5")
     assert code == 0
     net = parse_net(out)
     assert serialize_net(net) == out
+
+
+def test_gen_net_text_survives_a_parse_byte_for_byte(capsys):
+    """``gen-net`` output is canonical text: parsing it and writing the net
+    back gives the same bytes, over many seeds and sizes."""
+    for seed in range(30):
+        for size in (["--max-places", "8", "--max-transitions", "10"],
+                     ["--max-places", "24", "--max-transitions", "36",
+                      "--loop-probability", "0.5"]):
+            code, out, err = run_cli(capsys, "gen-net", "--seed", str(seed),
+                                     *size)
+            assert (code, err) == (0, "")
+            assert serialize_net(parse_net(out)) == out
 
 
 def test_cli_tts_agrees_with_the_oracle(capsys):

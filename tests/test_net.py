@@ -1,9 +1,11 @@
 import pytest
 
 from wfmig import (GenParams, NetFormatError, Transition, UnsafeNetError,
-                   WFNet, random_wfnet, validate_structural)
+                   WFNet, parse_net, random_wfnet, serialize_net,
+                   validate_structural)
 
-from conftest import FIXTURE_NAMES, fixture_net, par_redo_net
+from conftest import (FIXTURE_NAMES, fixture_net, par_redo_net,
+                      with_empty_transitions)
 from reference import NotEnabledError, enabled, fire
 
 
@@ -166,3 +168,37 @@ def test_grouped_arcs_match_the_arc_list():
                                                     if b == node)
             assert sorted(net._post[node]) == sorted(b for a, b in net.arcs
                                                      if a == node)
+
+
+def test_parsed_net_equals_the_net_built_from_transition_objects():
+    """``parse_net`` gives ``WFNet`` bare labels and an empty ``Transition``
+    per helper; the net equals, and hashes as, the one built from a
+    ``Transition`` per label, and builds its own ``transitions`` only on
+    first use."""
+    nets = [fixture_net(name) for name in FIXTURE_NAMES]
+    nets += [with_empty_transitions(random_wfnet(GenParams(seed=seed)), seed)
+             for seed in range(50)]
+    assert sum(len(net.empty_labels) for net in nets[-50:]) > 100
+    for net in nets:
+        parsed = parse_net(serialize_net(net))
+        assert "transitions" not in vars(parsed)
+        built = WFNet(
+            list(net.places),
+            [Transition(label, label in net.empty_labels)
+             for label in reversed(net.sorted_labels)],
+            list(net.arcs), net.initial_marking, net.name)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert parsed.sorted_labels == built.sorted_labels
+        assert parsed.empty_labels == built.empty_labels
+        assert parsed.transitions == built.transitions == tuple(
+            Transition(label, label in net.empty_labels)
+            for label in sorted(net.labels))
+        assert vars(parsed)["transitions"] is parsed.transitions
+        # one label turned empty, or regular: not the same net
+        label = net.sorted_labels[0]
+        flipped = WFNet(net.places,
+                        [Transition(t.label, t.is_empty != (t.label == label))
+                         for t in net.transitions],
+                        net.arcs, net.initial_marking, net.name)
+        assert flipped != parsed
+        assert flipped.transitions != parsed.transitions

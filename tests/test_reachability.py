@@ -5,8 +5,8 @@ from wfmig import (GenParams, NetFormatError, StateLimitError, UnsafeNetError,
                    validate_behavioral)
 from wfmig.reachability import DEFAULT_MAX_STATES, to_dot
 
-from conftest import (FIXTURE_NAMES, GOLDEN, fixture_net, long_sequence_net,
-                      par_redo_net)
+from conftest import (FIXTURE_NAMES, GOLDEN, choice_net, fixture_net,
+                      long_sequence_net, par_redo_net, shuffled_names)
 from reference import fire, reference_reachability
 
 
@@ -196,6 +196,26 @@ def test_kernel_equals_reference_on_generator_nets():
                          ids=["par-redo-2-2", "sequence-1200"])
 def test_kernel_equals_reference_on_larger_nets(net):
     assert_same_graph(net)
+
+
+def test_kernel_equals_reference_where_a_high_bit_owns_many_transitions():
+    """A marking's candidates are looked up by the bit position of each of
+    its places: here one place, past bit 1,000, owns 40 transitions."""
+    net = choice_net(40, 50)
+    assert sorted(net.places).index("s") > 1000
+    assert len(net._post["s"]) == 40
+    assert_same_graph(net)
+
+
+def test_kernel_equals_reference_on_shuffled_names():
+    """Names permuted so the sorted order crosses the structure: the bit
+    numbering, the lowest input place of each transition and the sorted
+    label order all change, and the graph still equals the reference."""
+    net = par_redo_net(3, 4)
+    for seed in range(3):
+        shuffled = shuffled_names(net, seed)
+        assert sorted(shuffled.arcs) != sorted(net.arcs)
+        assert_same_graph(shuffled)
 
 
 def _edge_case_nets():
