@@ -12,6 +12,13 @@ same pieces into one string.  Every command runs the production engines
 only.  The paper's fixpoint (``tts.tts_for_node``) reads the same graph
 and is for the tests, as are the oracle and the frozenset token game in
 ``tests/reference.py``.
+
+Each command is its own process, so importing costs more than the work on
+a small net, and a command loads only the modules it runs.  This module
+loads ``errors``, ``net``, ``reachability`` and ``netformat`` (with
+``json``): all that ``validate`` and ``reach`` need.  ``tts`` loads
+``tts``; ``map`` loads ``equivalence`` and ``tts``, and ``csv`` for
+``--format csv``; ``gen-net`` loads ``oracle`` and ``random``.
 """
 
 import argparse
@@ -19,11 +26,10 @@ import functools
 import os
 import sys
 
-from . import equivalence, netformat, oracle, reachability, tts
+from . import netformat, reachability
 from .errors import NetFormatError, WfmigError
 from .net import _reach, key_label, marking_key, validate_structural
-from .reachability import DEFAULT_MAX_STATES
-from .tts import DEFAULT_MAX_TTS_STATES
+from .reachability import DEFAULT_MAX_STATES, DEFAULT_MAX_TTS_STATES
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -112,6 +118,7 @@ def cmd_reach(args):
 
 
 def cmd_tts(args):
+    from . import tts
     net = _load_net(args.net)
     _require_structural(net)
     graph = reachability.build_reachability(net, args.max_states)
@@ -132,6 +139,7 @@ def cmd_tts(args):
 
 
 def cmd_map(args):
+    from . import equivalence
     old_net = _load_net(args.old)
     new_net = _load_net(args.new)
     _require_structural(old_net)
@@ -149,6 +157,7 @@ def cmd_map(args):
 
 
 def cmd_gen_net(args):
+    from . import oracle
     params = oracle.GenParams(seed=args.seed, max_places=args.max_places,
                               max_transitions=args.max_transitions,
                               loop_probability=args.loop_probability,

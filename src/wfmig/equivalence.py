@@ -8,19 +8,19 @@ makes markings reached only through helper transitions equivalent to the
 initial marking).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .reachability import DEFAULT_MAX_STATES, build_reachability
-from .tts import DEFAULT_MAX_TTS_STATES, tts_all
+from .reachability import (DEFAULT_MAX_STATES, DEFAULT_MAX_TTS_STATES,
+                           build_reachability)
+from .tts import tts_all
 
 
-@dataclass(frozen=True)
-class MappingTable:
+class MappingTable(namedtuple("MappingTable", "rows")):
     """Rows (old node key, sorted tuple of equivalent new node keys), sorted
     by old key.  An empty equivalents tuple puts the row in the change
     region."""
 
-    rows: tuple
+    __slots__ = ()
 
 
 # kept in the package: bench/tracer.py wraps it by module attribute

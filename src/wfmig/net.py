@@ -5,11 +5,13 @@ place either holds a token or it does not.  Its one text form is its key,
 the comma-joined sorted place names (``marking_key``), printed in braces
 (``key_label``).  All types are immutable after construction and every
 operation here is a pure function.  The token game is played on int masks
-by ``reachability.build_reachability``.
+by ``reachability.build_reachability``.  ``Transition``, ``Violation`` and
+``ValidationReport`` are namedtuples, as are the package's other record
+types: a ``dataclass`` costs an ``exec`` per class and the import of
+``dataclasses`` (with ``inspect`` and ``ast``) at every start.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain, filterfalse
 
@@ -89,14 +91,13 @@ def key_label(key):
     return "{%s}" % key
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(namedtuple("Transition", "label is_empty",
+                            defaults=(False,))):
     """A labeled transition.  ``is_empty`` marks helper transitions that are
     ignored when trace transition sets are compared across nets; they fire
     exactly like ordinary transitions."""
 
-    label: str
-    is_empty: bool = False
+    __slots__ = ()
 
 
 def _label_lists(transitions):
@@ -120,16 +121,12 @@ def _label_lists(transitions):
     return labels, empty
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-    element: str
+class Violation(namedtuple("Violation", "code message element")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
+class ValidationReport(namedtuple("ValidationReport", "violations")):
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -20,7 +20,6 @@ label), so ``parse_net(serialize_net(net)) == net`` for every net, and
 ``serialize_net(parse_net(text)) == text`` for every canonical text.
 """
 
-import csv
 import json
 
 from .errors import NetFormatError
@@ -257,6 +256,7 @@ class _Echo:
 
 def csv_lines(old_net, new_net, table):
     """The CSV text, one row at a time."""
+    import csv
     row = csv.writer(_Echo(), lineterminator="\n").writerow
     yield row(["old_marking", "equivalents", "change_region"])
     for old_key, equivalents in table.rows:

@@ -4,18 +4,16 @@ with them, in ``tests/reference.py``.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .net import WFNet
 
 
-@dataclass(frozen=True)
-class GenParams:
-    seed: int = 0
-    max_places: int = 8
-    max_transitions: int = 10
-    loop_probability: float = 0.2
-    parallel_probability: float = 0.3
+class GenParams(namedtuple("GenParams",
+                           "seed max_places max_transitions loop_probability "
+                           "parallel_probability",
+                           defaults=(0, 8, 10, 0.2, 0.3))):
+    __slots__ = ()
 
 
 class _NetBuilder:

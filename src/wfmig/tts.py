@@ -22,15 +22,10 @@ so a path of any length fits.  No command runs it; it stays in the package
 because the benchmark's traced run wraps three of its functions here.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import TtsLimitError
-
-# Of the ``random_wfnet`` nets with up to 24 places and 36 transitions
-# (seeds 0-19), the largest closure that ``map`` finishes under a 700 MB
-# address-space limit holds 4.26e6 states (seed 5).  Reaching 5e6 states
-# takes about 350 MB and 7-13 s (Python 3.11, one core of a 2-vCPU host).
-DEFAULT_MAX_TTS_STATES = 5000000
+from .reachability import DEFAULT_MAX_TTS_STATES
 
 
 def label_set(graph, edges):
@@ -39,25 +34,21 @@ def label_set(graph, edges):
     return frozenset(labels[lab[e]] for e in edges)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(namedtuple("Cycle", "edges node_set")):
     """An elementary circuit: its edge ids in canonical rotation, the first
     edge leaving the smallest node id on the cycle, and its node ids."""
 
-    edges: tuple
-    node_set: frozenset
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EdgeSet:
+class EdgeSet(namedtuple("EdgeSet", "edges nodes")):
     """A seed path's edges unioned with zero or more absorbed cycles.
 
     ``nodes`` carries every node the set covers; for the empty seed path it
     still holds the path's single node, which is what cycles attach to.
     """
 
-    edges: frozenset
-    nodes: frozenset
+    __slots__ = ()
 
     @classmethod
     def from_path(cls, graph, path, start):

@@ -24,18 +24,41 @@ class BoundTooSmallError(WfmigError):
     code = "BOUND_TOO_SMALL"
 
 
-def _presets(net):
-    """The input places of every transition, read off ``net.arcs``."""
+def _arc_maps(net):
+    """The input and the output places of every transition, read off
+    ``net.arcs``: built once per net, not once per firing."""
     pre = {label: set() for label in net.labels}
+    post = {label: set() for label in net.labels}
     for a, b in net.arcs:
         if b in pre:
             pre[b].add(a)
-    return pre
+        else:
+            post[a].add(b)
+    return pre, post
+
+
+def _enabled(pre, marking):
+    return {label for label, ins in pre.items() if ins <= marking}
+
+
+def _fire(pre, post, marking, label):
+    # a label the net lacks has no arcs, as when they were read per firing
+    ins = pre.get(label, frozenset())
+    if not ins <= marking:
+        raise NotEnabledError("transition %r is not enabled in %s"
+                              % (label, key_label(marking_key(marking))))
+    outs = post.get(label, frozenset())
+    clash = outs & (marking - ins)
+    if clash:
+        raise UnsafeNetError("net is not 1-bounded: firing %r would put a "
+                             "second token in %s"
+                             % (label, marking_key(clash)))
+    return (marking - ins) | outs
 
 
 def enabled(net, marking):
     """Transitions whose every input place is marked."""
-    return {label for label, ins in _presets(net).items() if ins <= marking}
+    return _enabled(_arc_maps(net)[0], marking)
 
 
 def fire(net, marking, label):
@@ -46,22 +69,13 @@ def fire(net, marking, label):
     output place would receive a second token (1-boundedness violation).
     Self-loop places are consumed and re-produced.
     """
-    ins = frozenset(a for a, b in net.arcs if b == label)
-    if not ins <= marking:
-        raise NotEnabledError("transition %r is not enabled in %s"
-                              % (label, key_label(marking_key(marking))))
-    outs = frozenset(b for a, b in net.arcs if a == label)
-    clash = outs & (marking - ins)
-    if clash:
-        raise UnsafeNetError("net is not 1-bounded: firing %r would put a "
-                             "second token in %s"
-                             % (label, marking_key(clash)))
-    return (marking - ins) | outs
+    return _fire(*_arc_maps(net), marking, label)
 
 
 def reference_reachability(net, max_states=DEFAULT_MAX_STATES):
-    """BFS that checks every transition at every marking with ``enabled``
-    and builds every successor with ``fire``.  Gives the marking keys in
+    """BFS that checks every transition at every marking as ``enabled``
+    does and builds every successor as ``fire`` does, from presets and
+    postsets read off ``net.arcs`` once.  Gives the marking keys in
     discovery order, each one's ``(label, successor key)`` list in firing
     order, and the initial and terminal keys."""
     if max_states < 1:
@@ -69,12 +83,13 @@ def reference_reachability(net, max_states=DEFAULT_MAX_STATES):
     init_key = marking_key(net.initial_marking)
     marking = {init_key: net.initial_marking}
     order, succ = [init_key], []
+    pre, post = _arc_maps(net)
     queue = deque([init_key])
     while queue:
         key = queue.popleft()
         out = []
-        for label in sorted(enabled(net, marking[key])):
-            nxt = fire(net, marking[key], label)
+        for label in sorted(_enabled(pre, marking[key])):
+            nxt = _fire(pre, post, marking[key], label)
             nxt_key = marking_key(nxt)
             if nxt_key not in marking:
                 if len(order) + 1 > max_states:
