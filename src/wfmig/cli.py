@@ -73,7 +73,6 @@ def _require_structural(net):
         _print_violations(report, sys.stderr)
         raise WfmigError("net %r is not a valid workflow net" % net.name,
                          code="INVALID_NET")
-    return report
 
 
 def _parse_marking(text):
@@ -166,32 +165,21 @@ def cmd_gen_net(args):
     return 0
 
 
-def _int_at_least(low):
-    """An argparse type: an int no smaller than ``low``, so a bad value is a
-    usage error and not a ``ValueError`` from the library."""
+def _bounded(cast, low, high=None):
+    """An argparse type: ``cast(text)`` from ``low`` to ``high``, or with
+    no upper bound when ``high`` is None, so a value that does not parse,
+    one out of range, ``nan`` and ``inf`` are usage errors and not a
+    ``ValueError`` from the library."""
     def parse(text):
         try:
-            value = int(text)
+            value = cast(text)
         except ValueError:
-            raise argparse.ArgumentTypeError("invalid int value: %r"
-                                             % text) from None
-        if value < low:
+            raise argparse.ArgumentTypeError("invalid %s value: %r"
+                                             % (cast.__name__, text)) from None
+        if high is None and not low <= value:
             raise argparse.ArgumentTypeError("must be at least %d: %r"
                                              % (low, text))
-        return value
-    return parse
-
-
-def _float_in(low, high):
-    """An argparse type: a float from ``low`` to ``high``, so a value out of
-    range, ``nan`` and ``inf`` are usage errors like a bad int."""
-    def parse(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("invalid float value: %r"
-                                             % text) from None
-        if not low <= value <= high:
+        if high is not None and not low <= value <= high:
             raise argparse.ArgumentTypeError("must be in [%g, %g]: %r"
                                              % (low, high, text))
         return value
@@ -199,14 +187,14 @@ def _float_in(low, high):
 
 
 def _add_max_states(parser):
-    parser.add_argument("--max-states", type=_int_at_least(1),
+    parser.add_argument("--max-states", type=_bounded(int, 1),
                         default=DEFAULT_MAX_STATES,
                         help="abort when the reachability graph exceeds this "
                              "many markings (default %d)" % DEFAULT_MAX_STATES)
 
 
 def _add_max_tts_states(parser):
-    parser.add_argument("--max-tts-states", type=_int_at_least(1),
+    parser.add_argument("--max-tts-states", type=_bounded(int, 1),
                         default=DEFAULT_MAX_TTS_STATES,
                         help="abort when a TTS closure exceeds this many "
                              "(marking, TTS) states (default %d)"
@@ -268,10 +256,11 @@ def build_parser():
     # a debugging helper, kept out of the advertised command list
     p = sub.add_parser("gen-net")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-places", type=_int_at_least(2), default=8)
-    p.add_argument("--max-transitions", type=_int_at_least(1), default=10)
-    p.add_argument("--loop-probability", type=_float_in(0, 1), default=0.2)
-    p.add_argument("--parallel-probability", type=_float_in(0, 1),
+    p.add_argument("--max-places", type=_bounded(int, 2), default=8)
+    p.add_argument("--max-transitions", type=_bounded(int, 1), default=10)
+    p.add_argument("--loop-probability", type=_bounded(float, 0, 1),
+                   default=0.2)
+    p.add_argument("--parallel-probability", type=_bounded(float, 0, 1),
                    default=0.3)
     p.set_defaults(func=cmd_gen_net)
 

@@ -102,23 +102,14 @@ class Transition(namedtuple("Transition", "label is_empty",
 
 def _label_lists(transitions):
     """The sorted labels of ``transitions`` and the labels of its empty
-    ones.  A bare string is a regular transition's label, a ``Transition``
-    gives its own, and anything else ``t`` is ``Transition(str(t))``.
-    ``filter`` with ``str.__instancecheck__`` (``isinstance(x, str)``)
-    parts the strings from the rest in C."""
-    if set(map(type, transitions)) <= {str}:
-        return sorted(transitions), ()
+    ones.  A transition is a bare label, of a regular transition, or a
+    ``Transition``; ``filter`` with ``str.__instancecheck__``
+    (``isinstance(x, str)``) parts the labels from the rest in C."""
+    objects = list(filterfalse(str.__instancecheck__, transitions))
     labels = list(filter(str.__instancecheck__, transitions))
-    empty = []
-    for t in filterfalse(str.__instancecheck__, transitions):
-        if isinstance(t, Transition):
-            labels.append(t.label)
-            if t.is_empty:
-                empty.append(t.label)
-        else:
-            labels.append(str(t))
+    labels += [t.label for t in objects]
     labels.sort()
-    return labels, empty
+    return labels, [t.label for t in objects if t.is_empty]
 
 
 class Violation(namedtuple("Violation", "code message element")):
@@ -146,12 +137,12 @@ class WFNet:
     names without ``;`` and without leading or trailing whitespace; arcs
     listed once, with known and bipartite endpoints.  Workflow-net
     structure is checked by :func:`validate_structural` and reported, not
-    raised.  A transition is given as a ``Transition`` or as its bare
-    label; the net keeps ``sorted_labels`` and ``empty_labels`` and builds
-    the ``Transition`` objects (``transitions``) only on first use.  Place
-    names and transition labels share one namespace, and one ``_pre`` and
-    one ``_post`` map over it hold the arcs: the nodes one arc before and
-    one arc after each place or label, in arc order.
+    raised.  A transition is a bare label, of a regular transition, or a
+    ``Transition``; the net keeps ``sorted_labels`` and ``empty_labels``
+    and builds the ``Transition`` objects (``transitions``) only on first
+    use.  Place names and transition labels share one namespace, and one
+    ``_pre`` and one ``_post`` map over it hold the arcs: the nodes one arc
+    before and one arc after each place or label, in arc order.
     """
 
     def __init__(self, places, transitions, arcs, initial_marking=None, name=""):

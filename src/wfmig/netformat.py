@@ -21,6 +21,7 @@ label), so ``parse_net(serialize_net(net)) == net`` for every net, and
 """
 
 import json
+import sys
 
 from .errors import NetFormatError
 from .net import Transition, WFNet, key_label
@@ -44,6 +45,11 @@ def parse_net(text):
     except json.JSONDecodeError as exc:
         raise NetFormatError("line %d column %d: %s"
                              % (exc.lineno, exc.colno, exc.msg),
+                             code="PARSE_ERROR") from exc
+    except ValueError as exc:
+        # the only other one: an integer over the int-string limit
+        raise NetFormatError("integer with more than %d digits"
+                             % sys.get_int_max_str_digits(),
                              code="PARSE_ERROR") from exc
     except RecursionError as exc:
         raise NetFormatError("values nested too deeply",

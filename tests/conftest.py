@@ -19,6 +19,10 @@ FIXTURE_NAMES = sorted(path.stem for path in FIXTURES.glob("*.json"))
 SURROGATE = ('{"places": ["s", "\\ud800", "e"], "transitions": ["t", "u"],'
              ' "arcs": [["s", "t"], ["t", "e"], ["\\ud800", "u"],'
              ' ["u", "e"]]}')
+# a net document holding an integer over the interpreter's int-string limit
+# (4,300 digits), which json.loads raises as a plain ValueError
+LONG_INT = ('{"places": [%s], "transitions": [], "arcs": []}'
+            % ("1" * 5000))
 
 
 def long_sequence_net(n):

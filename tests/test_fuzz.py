@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wfmig.cli import main
 
-from conftest import SURROGATE
+from conftest import LONG_INT, SURROGATE
 
 TEXT = st.text(alphabet=["s", "m", "A", "x", "y", "\xe9", ",", ";", "\n",
                          "\ud800"],
@@ -76,6 +76,7 @@ def run_strict(argv):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(net_documents())
 @example(SURROGATE)
+@example(LONG_INT)
 def test_cli_never_raises_and_codes_every_usage_error(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = "%s/net.json" % tmp

@@ -20,9 +20,9 @@ from wfmig.net import _scan as scan_net_rules
 from wfmig.netformat import emit_json, mapping_document
 from wfmig.reachability import to_dot
 
-from conftest import (FIXTURE_NAMES, GOLDEN, ROOT, SURROGATE, fixture_net,
-                      fixture_path as fx, long_sequence_net, par_redo_net,
-                      with_empty_transitions)
+from conftest import (FIXTURE_NAMES, GOLDEN, LONG_INT, ROOT, SURROGATE,
+                      fixture_net, fixture_path as fx, long_sequence_net,
+                      par_redo_net, with_empty_transitions)
 from reference import oracle_tts
 from test_fuzz import net_documents
 
@@ -908,6 +908,7 @@ BAD_INPUTS = {
     "spaced.json": SPACED.encode("ascii"),
     "repeated-arc.json": b'{"places": ["s", "e"], "transitions": ["t"],'
                          b' "arcs": [["s", "t"], ["s", "t"], ["t", "e"]]}',
+    "long-int.json": LONG_INT.encode("ascii"),
 }
 
 
@@ -954,6 +955,10 @@ BAD_INPUTS = {
     (("map", "--old", fx("sequence"), "--new", "{tmp}/repeated-arc.json"),
      "PARSE_ERROR: arc 's' -> 't' is listed twice (weighted arcs are not "
      "supported)"),
+    (("validate", "{tmp}/long-int.json"),
+     "PARSE_ERROR: integer with more than 4300 digits"),
+    (("map", "--old", "{tmp}/long-int.json", "--new", fx("sequence")),
+     "PARSE_ERROR: integer with more than 4300 digits"),
     # an unset shell variable: an empty path is a path, not "no --dot"
     (("reach", fx("fig4"), "--dot", ""),
      "WRITE_ERROR: cannot write : No such file or directory"),
@@ -984,7 +989,7 @@ BAD_INPUTS = {
         "gen-net-max-places-1", "gen-net-max-transitions-0", "not-utf-8",
         "dot-unwritable", "deep-nesting", "id-is-a-place",
         "lone-surrogate", "place-name-whitespace", "repeated-arc",
-        "dot-empty-path",
+        "validate-long-integer", "map-long-integer", "dot-empty-path",
         "gen-net-loop-probability-5", "gen-net-loop-probability-negative",
         "gen-net-loop-probability-inf", "gen-net-loop-probability-nan",
         "gen-net-parallel-probability-5", "gen-net-parallel-probability-nan",

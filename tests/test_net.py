@@ -123,6 +123,15 @@ def test_constructor_rejects_duplicate_names():
         WFNet(places=["p"], transitions=[Transition("t"), Transition("t")],
               arcs=[])
     assert err.value.code == "DUPLICATE_NAME"
+    # parse_net rejects an empty name first; the constructor has its own rule
+    with pytest.raises(NetFormatError) as err:
+        WFNet(places=["p", ""], transitions=["t"], arcs=[])
+    assert (err.value.code, str(err.value)) == ("PARSE_ERROR",
+                                                "empty place name")
+    with pytest.raises(NetFormatError) as err:
+        WFNet(places=["p"], transitions=[Transition("")], arcs=[])
+    assert (err.value.code, str(err.value)) == ("PARSE_ERROR",
+                                                "empty transition label")
 
 
 def test_constructor_rejects_bad_arcs():
