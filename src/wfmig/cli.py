@@ -23,6 +23,7 @@ loads ``errors``, ``net``, ``reachability`` and ``netformat`` (with
 
 import argparse
 import functools
+import gc
 import os
 import sys
 
@@ -288,6 +289,13 @@ def _run(argv):
 
 
 def main(argv=None):
+    """Run one command; returns its exit code.  The cyclic garbage
+    collector is off for the call and then set back as it was: a command
+    leaves no reference cycles to collect, so its passes, which the many
+    containers a graph or a closure allocates would set off, find
+    nothing."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = _run(argv)
         sys.stdout.flush()          # a closed stdout fails here, not at exit
@@ -304,6 +312,9 @@ def main(argv=None):
         print("WRITE_ERROR: cannot write stdout: %s" % exc.strerror,
               file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -40,20 +40,32 @@ def find_equivalence_mapping(old_net, new_net, max_states=DEFAULT_MAX_STATES,
     become keys only here, in the rows.  Both closures number their label
     bits in one order, the sorted union of the two nets' labels, so a TTS
     is one int key in the index whichever net it comes from; each net's
-    own empty labels get no bit.  ``max_states`` bounds each reachability
-    graph and ``max_tts_states`` each closure."""
+    own empty labels get no bit.
+
+    A purged TTS holding a label of one net's purged alphabet (its labels
+    less its own empty labels) that the other net's lacks can match no
+    purged TTS of the other net, and nor can any TTS a longer trace grows
+    from it.  So each closure drops those labels: such TTSs all become the
+    member -1 (see ``tts_all``), which the join never looks up.
+    ``max_states`` bounds each reachability graph and ``max_tts_states``
+    each closure."""
     old_graph = build_reachability(old_net, max_states)
     new_graph = build_reachability(new_net, max_states)
-    order = sorted(set(old_graph.labels) | set(new_graph.labels))
+    order = sorted(old_net.labels | new_net.labels)
+    old_alphabet = old_net.labels - old_net.empty_labels
+    new_alphabet = new_net.labels - new_net.empty_labels
 
     holders = {}
     for node, family in tts_all(new_graph, new_net.empty_labels, order,
-                                max_states=max_tts_states).items():
+                                max_states=max_tts_states,
+                                drop=new_alphabet - old_alphabet).items():
         for member in family:
             holders.setdefault(member, []).append(node)
+    holders.pop(-1, None)
 
     old_fams = tts_all(old_graph, old_net.empty_labels, order,
-                       max_states=max_tts_states)
+                       max_states=max_tts_states,
+                       drop=old_alphabet - new_alphabet)
     old_keys, new_keys = old_graph.keys(), new_graph.keys()
     rows = []
     for node, family in old_fams.items():

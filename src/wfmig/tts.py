@@ -9,9 +9,11 @@ walks.  Its members are ints: a TTS is a bitmask over one explicit label
 order, bit ``i`` for the ``i``-th label.  ``map`` gives both nets the
 sorted union of their labels, so equal label sets are equal ints across
 the nets; ``tts`` uses the net's own sorted labels and decodes the masks
-only to print them (``reachability.mask_names``).  The closure's (node,
-member) states can grow exponentially with the net, so it counts them and
-stops past a limit (``TtsLimitError``, ``--max-tts-states``).
+only to print them (``reachability.mask_names``).  ``map`` also gives each
+closure the labels the other net lacks, to drop: the TTSs that hold one
+can match nothing, and are not listed.  The closure's (node, member)
+states can grow exponentially with the net, so it counts them and stops
+past a limit (``TtsLimitError``, ``--max-tts-states``).
 
 The paper's construction stays as the reference the tests check: elementary
 seed paths absorb every elementary cycle touching a node already covered,
@@ -154,15 +156,22 @@ def tts_for_node(graph, node, cycles=None):
 
 
 def tts_all(graph, ignore=frozenset(), order=None, nodes=None,
-            max_states=DEFAULT_MAX_TTS_STATES):
+            max_states=DEFAULT_MAX_TTS_STATES, drop=frozenset()):
     """TTS families by node id, each a set of int members: a worklist
     closure over (node, member) states from (initial, 0) along the CSR
     edges.  Bit ``i`` of a member stands for label ``order[i]`` (default
     ``graph.labels``, which is sorted); ``order`` must hold every label of
     the graph.  An edge leads to (dst, member | its label's bit), and a
     label in ``ignore`` has no bit, so it adds nothing.  Each state reached
-    at a node is one of its TTSs with the ``ignore`` labels left out, and
-    each TTS is one member, so the member count is the TTS count.
+    at a node is one of its TTSs with the ``ignore`` labels left out.
+
+    A label in ``drop`` (and not in ``ignore``) has the bit value -1, and
+    ``-1 | x == -1``: a trace that fires it ends in the one member -1 at
+    every node it goes on to, which stands for all of that node's TTSs
+    holding a dropped label.  ``map`` drops the labels the other net lacks,
+    whose TTSs can match nothing there; the other members are the node's
+    TTSs without a dropped label, one member each.  With no ``drop``, the
+    member count is the TTS count.
 
     ``nodes``, if given, must hold the initial node and every predecessor
     of each of its nodes, as the ancestors of a node do.  Only the nodes in
@@ -171,13 +180,13 @@ def tts_all(graph, ignore=frozenset(), order=None, nodes=None,
     graph.
 
     Raises TtsLimitError when the states, counted once each as they are
-    added, would exceed ``max_states``."""
+    added (a -1 member included), would exceed ``max_states``."""
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
     position = {label: i for i, label in enumerate(
         graph.labels if order is None else order)}
-    bits = [0 if label in ignore else 1 << position[label]
-            for label in graph.labels]
+    bits = [0 if label in ignore else -1 if label in drop
+            else 1 << position[label] for label in graph.labels]
     off, lab, dst = graph.off, graph.lab, graph.dst
     held = graph.nodes if nodes is None else sorted(nodes)
     families = [None] * len(graph.nodes)    # None: no family, edge skipped

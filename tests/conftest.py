@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 import random
 
@@ -123,6 +124,16 @@ def label_families(graph, ignore=frozenset()):
     return {node: frozenset(frozenset(mask_names(graph.labels, member))
                             for member in family)
             for node, family in tts_all(graph, ignore).items()}
+
+
+def bench_inputs():
+    """``bench/inputs.py``, the benchmark's input generator, loaded from
+    its file: ``edited_copy`` is the edit the map-loops workload makes."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", ROOT / "bench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def fixture_path(name):

@@ -1,14 +1,18 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wfmig import (GenParams, Transition, WFNet, build_reachability,
-                   change_region, find_equivalence_mapping, random_wfnet,
+from wfmig import (GenParams, MappingTable, Transition, WFNet,
+                   build_reachability, change_region,
+                   find_equivalence_mapping, parse_net, random_wfnet,
                    tts_all)
+from wfmig import equivalence
 from wfmig.equivalence import purge
 from wfmig.reachability import mask_names
 
-from conftest import (fixture_net, oracle_mapping, par_redo_net,
-                      with_empty_transitions)
+from conftest import (bench_inputs, fixture_net, oracle_mapping,
+                      par_redo_net, with_empty_transitions)
 
 TABLE_1 = {
     "p1": {"p1", "p12,p2"},
@@ -257,3 +261,85 @@ def test_label_order_changes_no_family_and_no_row(drawn):
                                      if new_f[m] & old_f[node])))
                   for node, key in enumerate(old_g.keys()))
     assert tuple(rows) == find_equivalence_mapping(*pair).rows
+
+
+# ---------------------------------------------------------------------------
+# Alphabet pruning: ``find_equivalence_mapping`` drops from each closure the
+# labels the other net lacks, and must give the rows of whole closures.
+
+BENCH_INPUTS = bench_inputs()
+# random_wfnet's size and probabilities in the map-loops workload
+MAP_LOOPS_SHAPE = (10, 12, 0.5, 0.0)
+
+
+def _edited_pair(seed, shape=MAP_LOOPS_SHAPE, share=0):
+    """The generator net of ``seed`` and a copy edited as the map-loops
+    workload edits it: one task ``T<i>`` renamed ``UT<i>``, a redo dropped
+    or added, and an empty helper put in series on an arc.  With a
+    ``share``, about that share of the generator net's transitions are
+    declared empty before the edit, in both nets."""
+    old = BENCH_INPUTS._from_wfnet(with_empty_transitions(
+        random_wfnet(GenParams(seed, *shape)), seed, share))
+    new = BENCH_INPUTS.edited_copy(old, random.Random(seed))
+    return [parse_net(doc.to_json()) for doc in (old, new)]
+
+
+def _unpruned_mapping(old_net, new_net):
+    """The rows of whole closures, with no drop set, joined through the
+    ``holders`` index as ``find_equivalence_mapping`` joins them."""
+    old_g, new_g = build_reachability(old_net), build_reachability(new_net)
+    order = sorted(old_net.labels | new_net.labels)
+    holders = {}
+    for node, family in tts_all(new_g, new_net.empty_labels, order).items():
+        for member in family:
+            holders.setdefault(member, []).append(node)
+    new_keys = new_g.keys()
+    rows = []
+    for node, family in tts_all(old_g, old_net.empty_labels, order).items():
+        matches = {m for member in family for m in holders.get(member, ())}
+        rows.append((old_g.key(node),
+                     tuple(sorted(new_keys[m] for m in matches))))
+    return MappingTable(tuple(sorted(rows)))
+
+
+@st.composite
+def edited_pairs(draw):
+    """A map-loops pair, at map-loops' generator shape or at the default
+    one (which has parallel blocks), with or without empty labels."""
+    return _edited_pair(draw(st.integers(0, 10 ** 6)),
+                        draw(st.sampled_from([MAP_LOOPS_SHAPE,
+                                              (8, 10, 0.2, 0.3)])),
+                        draw(st.sampled_from([0, 0.3])))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(edited_pairs())
+def test_pruned_mapping_equals_the_unpruned_join(pair):
+    old, new = pair
+    for a, b in ((old, new), (new, old)):
+        assert find_equivalence_mapping(a, b) == _unpruned_mapping(a, b)
+
+
+def test_pruning_cuts_the_closures_of_a_renamed_pair(monkeypatch):
+    """The map-loops pair of seed 7: T10 becomes UT10, the redo T5 is
+    dropped and the helper e0 goes in.  Whole closures hold 69 states in
+    the old net and 38 in the new one; ``map`` drops T10 and T5 from the
+    old closure and UT10 from the new one, which then hold 18 and 20."""
+    old, new = _edited_pair(7)
+    old_g, new_g = build_reachability(old), build_reachability(new)
+    order = sorted(old.labels | new.labels)
+    assert [sum(map(len, tts_all(g, net.empty_labels, order).values()))
+            for g, net in ((old_g, old), (new_g, new))] == [69, 38]
+
+    states = []
+
+    def counted(*args, **kwargs):
+        families = tts_all(*args, **kwargs)
+        states.append((sorted(kwargs["drop"]),
+                       sum(map(len, families.values()))))
+        return families
+
+    monkeypatch.setattr(equivalence, "tts_all", counted)
+    table = find_equivalence_mapping(old, new)
+    assert states == [(["UT10"], 20), (["T10", "T5"], 18)]     # new, old
+    assert table == _unpruned_mapping(old, new)

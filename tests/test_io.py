@@ -1,5 +1,6 @@
 import csv
 import errno
+import gc
 import io
 import json
 import os
@@ -764,6 +765,77 @@ def test_cli_tts_limit_is_one_coded_line(capsys, tmp_path):
             1, "", "TTS_LIMIT_EXCEEDED: TTS closure exceeds 1000 states\n")
     assert run_cli(capsys, "tts", str(path), "--marking", "p0",
                    "--max-tts-states", "1") == (0, "{}\n", "")
+
+
+def test_main_turns_the_collector_off_for_the_call_only(capsys,
+                                                      monkeypatch):
+    during = []
+    run = cli._run
+    monkeypatch.setattr(cli, "_run",
+                        lambda argv: during.append(gc.isenabled())
+                        or run(argv))
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert run_cli(capsys, "validate", fx("sequence"))[0] == 0
+            assert run_cli(capsys, "validate", "missing.json")[0] == 2
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during == [False] * 4
+
+
+def test_commands_leave_no_reference_cycles(capsys, tmp_path):
+    """``main`` runs a command with the cyclic collector off, so what a
+    command allocates, on success and on a coded error, must be freed by
+    reference counting alone.  (A usage error leaves a few objects of
+    argparse's in a cycle, for the collector to free once it is back on.)"""
+    fig8 = ["--old", fx("fig8_old"), "--new", fx("fig8_new")]
+    argvs = [["map", *fig8, "--format", fmt] for fmt in ("table", "json",
+                                                        "csv")]
+    argvs += [["map", *fig8, "--max-tts-states", "2"],
+              ["validate", fx("fig4")],
+              ["validate", "missing.json"],
+              ["reach", fx("fig4"), "--dot", str(tmp_path / "fig4.dot")],
+              ["tts", fx("fig4"), "--marking", "P2"],
+              ["tts", fx("fig4"), "--marking", "nowhere"]]
+    for argv in argvs:      # imports, the shared parser and caches first
+        run_cli(capsys, *argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in argvs:
+            run_cli(capsys, *argv)
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
+
+
+def test_cli_map_against_a_renamed_task_finishes_under_the_default_limit(
+        capsys, tmp_path):
+    """The generator net of seed 1 at 24 places and 36 transitions has
+    about 7.5e6 TTSs, past the default --max-tts-states.  Against a copy
+    with T15 renamed UT15, map's closures drop every trace that fires
+    T15 or UT15, hold 43,500 states each, and finish."""
+    net = random_wfnet(GenParams(seed=1, max_places=24, max_transitions=36))
+
+    def rename(name):
+        return "UT15" if name == "T15" else name
+
+    renamed = WFNet(net.places,
+                    [Transition(rename(t.label), t.is_empty)
+                     for t in net.transitions],
+                    [(rename(a), rename(b)) for a, b in net.arcs],
+                    net.initial_marking, name=net.name)
+    old, new = tmp_path / "seed-1.json", tmp_path / "seed-1-UT15.json"
+    old.write_text(serialize_net(net), encoding="utf-8")
+    new.write_text(serialize_net(renamed), encoding="utf-8")
+    code, out, err = run_cli(capsys, "map", "--old", str(old),
+                             "--new", str(new), "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == len(build_reachability(net).nodes)
+    assert sum(change == "true" for _, _, change in rows) == 6
 
 
 def spawn_cli(tmp_path, python, argv, stdout):

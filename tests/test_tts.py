@@ -182,6 +182,31 @@ def test_tts_all_sequence(sequence_net):
     }
 
 
+def test_tts_all_drop_ends_a_trace_in_member_minus_one(sequence_net):
+    g = build_reachability(sequence_net)
+    assert tts_all(g, drop={"T0"}) == {0: {0}, 1: {-1}, 2: {-1}}
+    assert tts_all(g, drop={"T1"}) == {0: {0}, 1: {1}, 2: {-1}}
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_drop_keeps_the_members_without_a_dropped_label(seed):
+    """A node's members other than -1 are its whole family's members that
+    hold no dropped label, and -1 stands for the rest, if there are any."""
+    net = with_empty_transitions(random_wfnet(GenParams(
+        seed=seed, max_places=6, max_transitions=8)), seed)
+    g = build_reachability(net)
+    drop = frozenset(random.Random(seed).sample(
+        g.labels, len(g.labels) // 3)) - net.empty_labels
+    dropped = sum(1 << i for i, label in enumerate(g.labels)
+                  if label in drop)
+    whole = tts_all(g, net.empty_labels)
+    pruned = tts_all(g, net.empty_labels, drop=drop)
+    for node in g.nodes:
+        kept = {member for member in whole[node] if not member & dropped}
+        assert pruned[node] - {-1} == kept
+        assert (-1 in pruned[node]) == (kept != whole[node])
+
+
 def test_every_member_contains_a_seed(fig6_graph):
     cycles = find_cycles(fig6_graph)
     for node in fig6_graph.nodes:
