@@ -5,13 +5,13 @@ limit, unsafe net, unreachable marking), 2 usage error, a net file that
 cannot be read or parsed, or a ``--dot`` file or stdout that cannot be
 written (a closed pipe or a full disk included; one ``WRITE_ERROR`` line).
 Diagnostics go to stderr, data to stdout, and all output is
-byte-deterministic for equal inputs and flags.  ``reach --dot`` and ``map``
-write their text in batches of about ``BATCH_CHARS`` characters as it is
-made, so neither holds the whole text; ``to_dot`` and ``emit_*`` join the
-same pieces into one string.  Every command runs the production engines
-only.  The paper's fixpoint (``tts.tts_for_node``) reads the same graph
-and is for the tests, as are the oracle and the frozenset token game in
-``tests/reference.py``.
+byte-deterministic for equal inputs and flags.  ``reach --dot``, ``map``
+and ``tts`` write their text in batches of about ``BATCH_CHARS`` characters
+as it is made, so none holds the whole text (``tts`` sorts its members
+first); ``to_dot`` and ``emit_*`` join the same pieces into one string.
+Every command runs the production engines only.  The paper's fixpoint
+(``tts.tts_for_node``) reads the same graph and is for the tests, as are
+the oracle and the frozenset token game in ``tests/reference.py``.
 
 Each command is its own process, so importing costs more than the work on
 a small net, and a command loads only the modules it runs.  This module
@@ -19,6 +19,14 @@ loads ``errors``, ``net``, ``reachability`` and ``netformat`` (with
 ``json``): all that ``validate`` and ``reach`` need.  ``tts`` loads
 ``tts``; ``map`` loads ``equivalence`` and ``tts``, and ``csv`` for
 ``--format csv``; ``gen-net`` loads ``oracle`` and ``random``.
+
+Nor does a command build more parser than it uses.  When the first word
+of the argv names a command, ``main`` builds that command's parser alone
+(``_command_parser``), with the prog, arguments and help it has under the
+whole parser.  Any other argv (none, ``--help``, an unknown command) and a
+word the command leaves over build the whole parser (``build_parser``),
+which gives the top-level usage and error lines.  A net file is read as
+bytes and decoded once, with the text a text-mode read gives.
 """
 
 import argparse
@@ -53,13 +61,18 @@ def _write_batched(stream, pieces):
 
 
 def _load_net(path):
+    r"""The net in the file at ``path``, its text as a text-mode read gives
+    it: decoded as UTF-8 in one pass over the bytes, then ``\r\n`` and a
+    lone ``\r`` read as ``\n`` (universal newlines)."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         raise NetFormatError("cannot read %s: %s" % (path, reason),
                              code="PARSE_ERROR") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return netformat.parse_net(text)
 
 
@@ -132,9 +145,10 @@ def cmd_tts(args):
     ancestors = _reach({node}, graph.pred())
     family = tts.tts_all(graph, ignore, nodes=ancestors,
                          max_states=args.max_tts_states)[node]
-    for labels in sorted(reachability.mask_names(graph.labels, member)
-                         for member in family):
-        print(key_label(",".join(labels)))
+    members = sorted(reachability.mask_names(graph.labels, member)
+                     for member in family)
+    _write_batched(sys.stdout, (key_label(",".join(labels)) + "\n"
+                                for labels in members))
     return 0
 
 
@@ -211,73 +225,115 @@ class _Parser(argparse.ArgumentParser):
         return super()._print_message(message, file)
 
 
+def _add_validate(parser):
+    parser.add_argument("net", help="net document (JSON)")
+    _add_max_states(parser)
+    parser.set_defaults(func=cmd_validate)
+
+
+def _add_reach(parser):
+    parser.add_argument("net")
+    parser.add_argument("--dot", metavar="FILE",
+                        help="write the graph as DOT")
+    _add_max_states(parser)
+    parser.set_defaults(func=cmd_reach)
+
+
+def _add_tts(parser):
+    parser.add_argument("net")
+    parser.add_argument("--marking", required=True,
+                        help="comma-separated place names")
+    parser.add_argument("--keep-empty", action="store_true",
+                        help="keep empty-transition labels in the output")
+    _add_max_states(parser)
+    _add_max_tts_states(parser)
+    parser.set_defaults(func=cmd_tts)
+
+
+def _add_map(parser):
+    parser.add_argument("--old", required=True, help="old net document")
+    parser.add_argument("--new", required=True, help="new net document")
+    parser.add_argument("--format", choices=["table", "json", "csv"],
+                        default="table")
+    parser.add_argument("--fail-on-change-region", action="store_true",
+                        help="exit 1 when any marking has no equivalent")
+    _add_max_states(parser)
+    _add_max_tts_states(parser)
+    parser.set_defaults(func=cmd_map)
+
+
+def _add_gen_net(parser):
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--max-places", type=_bounded(int, 2), default=8)
+    parser.add_argument("--max-transitions", type=_bounded(int, 1),
+                        default=10)
+    parser.add_argument("--loop-probability", type=_bounded(float, 0, 1),
+                        default=0.2)
+    parser.add_argument("--parallel-probability", type=_bounded(float, 0, 1),
+                        default=0.3)
+    parser.set_defaults(func=cmd_gen_net)
+
+
+# name -> (help in the command list, function that adds the arguments); a
+# command with no help is left out of the list
+_COMMANDS = {
+    "validate": ("structural and behavioral workflow-net checks",
+                 _add_validate),
+    "reach": ("build the reachability graph", _add_reach),
+    "tts": ("trace transition sets of one reachable marking", _add_tts),
+    "map": ("history-equivalence mapping old net -> new net", _add_map),
+    # a debugging helper, kept out of the advertised command list
+    "gen-net": (None, _add_gen_net),
+}
+
+
 def build_parser():
+    """The whole parser: the top level and every command under it."""
     parser = _Parser(
         prog="wfmig",
         description="History-equivalence mapping between workflow nets "
                     "for dynamic process migration.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{validate,reach,tts,map}")
-
-    p = sub.add_parser("validate",
-                       help="structural and behavioral workflow-net checks")
-    p.add_argument("net", help="net document (JSON)")
-    _add_max_states(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("reach", help="build the reachability graph")
-    p.add_argument("net")
-    p.add_argument("--dot", metavar="FILE", help="write the graph as DOT")
-    _add_max_states(p)
-    p.set_defaults(func=cmd_reach)
-
-    p = sub.add_parser("tts",
-                       help="trace transition sets of one reachable marking")
-    p.add_argument("net")
-    p.add_argument("--marking", required=True,
-                   help="comma-separated place names")
-    p.add_argument("--keep-empty", action="store_true",
-                   help="keep empty-transition labels in the output")
-    _add_max_states(p)
-    _add_max_tts_states(p)
-    p.set_defaults(func=cmd_tts)
-
-    p = sub.add_parser("map",
-                       help="history-equivalence mapping old net -> new net")
-    p.add_argument("--old", required=True, help="old net document")
-    p.add_argument("--new", required=True, help="new net document")
-    p.add_argument("--format", choices=["table", "json", "csv"],
-                   default="table")
-    p.add_argument("--fail-on-change-region", action="store_true",
-                   help="exit 1 when any marking has no equivalent")
-    _add_max_states(p)
-    _add_max_tts_states(p)
-    p.set_defaults(func=cmd_map)
-
-    # a debugging helper, kept out of the advertised command list
-    p = sub.add_parser("gen-net")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-places", type=_bounded(int, 2), default=8)
-    p.add_argument("--max-transitions", type=_bounded(int, 1), default=10)
-    p.add_argument("--loop-probability", type=_bounded(float, 0, 1),
-                   default=0.2)
-    p.add_argument("--parallel-probability", type=_bounded(float, 0, 1),
-                   default=0.3)
-    p.set_defaults(func=cmd_gen_net)
-
+    for name, (summary, add) in _COMMANDS.items():
+        add(sub.add_parser(name) if summary is None
+            else sub.add_parser(name, help=summary))
     return parser
 
 
 @functools.cache
 def _shared_parser():
-    """The parser ``main`` reuses: building it costs more than parsing with
-    it, and parsing leaves it unchanged."""
+    """The whole parser, built once per process: building it costs more
+    than parsing with it, and parsing leaves it unchanged."""
     return build_parser()
+
+
+@functools.cache
+def _command_parser(name):
+    """One command's parser alone, built once per process, as
+    ``build_parser`` makes it under the top level: the same prog, arguments
+    and help."""
+    parser = _Parser(prog="wfmig " + name)
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _parse_args(argv):
+    """``argv`` parsed as the whole parser parses it.  When the first word
+    names a command, only that command's parser is built and run; a word
+    it leaves over is the whole parser's usage error, as it would be."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if extras:
+            _shared_parser().error("unrecognized arguments: %s"
+                                   % " ".join(extras))
+        return args
+    return _shared_parser().parse_args(argv)
 
 
 def _run(argv):
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

@@ -2,6 +2,7 @@ import csv
 import errno
 import gc
 import io
+import itertools
 import json
 import os
 import re
@@ -14,12 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from wfmig import (GenParams, MappingTable, NetFormatError, Transition,
                    WFNet, build_reachability, find_equivalence_mapping,
-                   parse_net, random_wfnet, serialize_net)
+                   parse_net, random_wfnet, serialize_net, tts_all)
 from wfmig import cli, netformat
 from wfmig.cli import main
-from wfmig.net import _scan as scan_net_rules
+from wfmig.net import _scan as scan_net_rules, key_label
 from wfmig.netformat import emit_json, mapping_document
-from wfmig.reachability import to_dot
+from wfmig.reachability import mask_names, to_dot
 
 from conftest import (FIXTURE_NAMES, GOLDEN, LONG_INT, ROOT, SURROGATE,
                       fixture_net, fixture_path as fx, long_sequence_net,
@@ -555,6 +556,35 @@ def test_cli_tts_purges_by_default(capsys):
     assert out.splitlines() == ["{T1,e1}"]
 
 
+def loops_net(k):
+    """s -start-> m -end-> e, with k tasks a0, a1, ... from m back to m:
+    the family of e is every subset of the tasks with start and end."""
+    labels, arcs = ["start", "end"], [("s", "start"), ("start", "m"),
+                                      ("m", "end"), ("end", "e")]
+    for i in range(k):
+        labels.append("a%d" % i)
+        arcs += [("m", labels[-1]), (labels[-1], "m")]
+    return WFNet(["s", "m", "e"], labels, arcs, name="loops-%d" % k)
+
+
+def test_cli_tts_writes_what_a_print_per_line_wrote(capsys, tmp_path):
+    """4,096 lines, more than one batch: the bytes of one ``print`` per
+    sorted member."""
+    net = loops_net(12)
+    path = tmp_path / "loops-12.json"
+    path.write_text(serialize_net(net), encoding="utf-8")
+    graph = build_reachability(net)
+    family = tts_all(graph, net.empty_labels)[graph.find({"e"})]
+    printed = io.StringIO()
+    for labels in sorted(mask_names(graph.labels, member)
+                         for member in family):
+        print(key_label(",".join(labels)), file=printed)
+    code, out, err = run_cli(capsys, "tts", str(path), "--marking", "e")
+    assert (code, err) == (0, "")
+    assert out == printed.getvalue()
+    assert out.count("\n") == 4096 and len(out) > cli.BATCH_CHARS
+
+
 def test_cli_tts_fig8_golden(capsys):
     # every reachable marking of both fig8 nets, with and without
     # --keep-empty, as the CI job runs them through the installed script
@@ -658,8 +688,9 @@ def test_cli_usage_errors(capsys):
 
 
 def test_cli_reused_parser_prints_what_a_fresh_one_does(capsys):
-    """main() keeps one parser per process; no call, usage errors included,
-    may leave state that changes a later call."""
+    """main() keeps the whole parser and each command's parser once built;
+    no call, usage errors included, may leave state that changes a later
+    call."""
     fig8 = ("--old", fx("fig8_old"), "--new", fx("fig8_new"))
     runs = [("unknown-command",), ("tts", fx("sequence")),
             ("map",) + fig8 + ("--format", "csv"), ("map",) + fig8,
@@ -671,6 +702,7 @@ def test_cli_reused_parser_prints_what_a_fresh_one_does(capsys):
     fresh = []
     for argv in runs:
         cli._shared_parser.cache_clear()
+        cli._command_parser.cache_clear()
         fresh.append(run_cli(capsys, *argv))
     reused = [run_cli(capsys, *argv) for argv in runs]
     reused += [run_cli(capsys, *argv) for argv in runs]
@@ -679,12 +711,111 @@ def test_cli_reused_parser_prints_what_a_fresh_one_does(capsys):
     assert fresh[4][1] != fresh[5][1]  # --keep-empty did not stick
 
 
+# the words of the parse corpus: every argv of up to three of them
+PARSE_UNITS = [(name,) for name in ("validate", "reach", "tts", "map",
+                                    "gen-net")] + [
+    ("--old", fx("fig8_old")), ("--new", fx("fig8_new")), ("--",), ("-h",),
+    ("--ol",), ("--old=" + fx("fig8_old"),), ("-x",), ("--max-states", "0"),
+    ("--format", "json"), ("stray",), (fx("sequence"),)]
+
+
+def test_cli_parses_a_command_as_the_whole_parser_does(capsys, monkeypatch,
+                                                       tmp_path):
+    """main parses an argv that starts with a command name with that
+    command's parser alone.  On every argv of up to three corpus units,
+    every bad-argument row and every --help, it returns and prints what
+    parsing with the whole parser does: argparse's handling of ``--`` and
+    of abbreviations differs between Python versions."""
+    for name, data in BAD_INPUTS.items():
+        (tmp_path / name).write_bytes(data)
+    argvs = [[word for unit in units for word in unit]
+             for k in range(4)
+             for units in itertools.product(PARSE_UNITS, repeat=k)]
+    argvs += [[word.replace("{tmp}", str(tmp_path)) for word in argv]
+              for argv, _ in BAD_ARGUMENTS]
+    for flag in ("-h", "--help"):
+        argvs += [[flag]] + [[name, flag] for name in cli._COMMANDS]
+    alone = [run_cli(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parse_args",
+                        lambda argv: cli._shared_parser().parse_args(argv))
+    whole = [run_cli(capsys, *argv) for argv in argvs]
+    assert [argv for argv, a, w in zip(argvs, alone, whole) if a != w] == []
+
+
 def test_cli_parse_error_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     code, out, err = run_cli(capsys, "validate", str(bad))
     assert code == 2
     assert "PARSE_ERROR" in err
+
+
+NET_LINES = [b'{"places": ["s", "e"],', b' "transitions": ["t"],',
+             b' "arcs": [["s", "t"], ["t", "e"]]}']
+# file name -> bytes, for _load_net against a text-mode read
+LOAD_FILES = {
+    "crlf.json": b"\r\n".join(NET_LINES) + b"\r\n",
+    "cr.json": b"\r".join(NET_LINES) + b"\r",
+    "mixed.json": NET_LINES[0] + b"\r\n" + NET_LINES[1] + b"\r\r\n\n\r"
+                  + NET_LINES[2] + b"\n",
+    "crlf-in-a-name.json": b'{"places": ["s\r\ne"], "transitions": [],'
+                           b' "arcs": []}',
+    "bom.json": b"\xef\xbb\xbf" + b"\n".join(NET_LINES),
+    "empty.json": b"",
+    "bad-utf-8-first.json": b"\xff" + b"\n".join(NET_LINES),
+    "bad-utf-8-late.json": b'{"places": ["' + b"x" * 9000 + b'\xe9 s"]}',
+    "truncated-utf-8.json": b"\n".join(NET_LINES) + b"\xe2\x82",
+    "crlf-syntax-error.json": b'{"places": ["s", "e"],\r\n'
+                              b' "transitions": ["t"],\r\n "arcs": [,]}\r\n',
+}
+
+
+def _text_mode_load(path):
+    """The reference for _load_net: the file read in text mode."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise NetFormatError("cannot read %s: %s" % (path, reason),
+                             code="PARSE_ERROR") from exc
+    return netformat.parse_net(text)
+
+
+def _load_outcome(load, path):
+    """The net as its document text, or the coded error line."""
+    try:
+        return serialize_net(load(path))
+    except NetFormatError as exc:
+        return "%s: %s" % (exc.code, exc)
+
+
+@pytest.mark.parametrize("name", [*LOAD_FILES, "directory", "missing"])
+def test_load_net_reads_what_a_text_mode_read_does(tmp_path, monkeypatch,
+                                                   name):
+    """The file is read as bytes and decoded once; the text parse_net gets,
+    the net it makes and every error line are those of a text-mode read."""
+    path = tmp_path / name
+    if name == "directory":
+        path.mkdir()
+    elif name != "missing":
+        path.write_bytes(LOAD_FILES[name])
+    path = str(path)
+    read = _load_outcome(_text_mode_load, path)
+    assert _load_outcome(cli._load_net, path) == read
+    with monkeypatch.context() as patch:
+        patch.setattr(netformat, "parse_net", lambda text: text)
+        try:
+            assert cli._load_net(path) == _text_mode_load(path)
+        except NetFormatError:      # both fail, with one line, as above
+            assert read.startswith("PARSE_ERROR: cannot read ")
+
+
+def test_load_net_keeps_the_line_and_column_after_crlf(tmp_path):
+    path = tmp_path / "crlf-syntax-error.json"
+    path.write_bytes(LOAD_FILES["crlf-syntax-error.json"])
+    assert _load_outcome(cli._load_net, str(path)) == (
+        "PARSE_ERROR: line 3 column 11: Expecting value")
 
 
 def test_cli_line_break_in_a_name_is_one_parse_error_line(capsys, tmp_path):
@@ -844,7 +975,8 @@ def spawn_cli(tmp_path, python, argv, stdout):
     small output is still unwritten when the command returns.  ``{tmp}``
     in ``argv`` names ``tmp_path``, which holds par-redo-3-6.json,
     sequence-1200.json and helpers-100.json, a sequence of 100 empty
-    helpers whose map against itself lists every marking in every row."""
+    helpers whose map against itself lists every marking in every row, and
+    loops-12.json, whose ``tts --marking e`` prints 4,096 lines."""
     (tmp_path / "par-redo-3-6.json").write_text(
         serialize_net(par_redo_net(3, 6)), encoding="utf-8")
     (tmp_path / "sequence-1200.json").write_text(
@@ -852,6 +984,8 @@ def spawn_cli(tmp_path, python, argv, stdout):
     (tmp_path / "helpers-100.json").write_text(serialize_net(
         with_empty_transitions(long_sequence_net(100), 0, share=1)),
         encoding="utf-8")
+    (tmp_path / "loops-12.json").write_text(serialize_net(loops_net(12)),
+                                            encoding="utf-8")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(ROOT / "src")
@@ -867,10 +1001,12 @@ def spawn_cli(tmp_path, python, argv, stdout):
     # more than stdout's buffer holds: the write fails, not the flush
     ((), ("map", "--old", "{tmp}/sequence-1200.json",
           "--new", "{tmp}/sequence-1200.json", "--format", "csv")),
+    ((), ("tts", "{tmp}/loops-12.json", "--marking", "e")),
     ((), ("--help",)),
     # unbuffered, argparse's own write of the help text is the one to fail
     (("-u",), ("--help",)),
-], ids=["map-small", "tts-small", "map-large", "help", "help-unbuffered"])
+], ids=["map-small", "tts-small", "map-large", "tts-large", "help",
+        "help-unbuffered"])
 def test_cli_closed_stdout_exits_2_with_one_write_error_line(tmp_path, python,
                                                              argv):
     """stdout is a pipe whose read end is closed before the spawn, as in
@@ -896,6 +1032,7 @@ FULL_STDOUT = [
     ((), ("validate", fx("fig8_old"))),
     ((), ("reach", fx("fig4"))),
     ((), ("tts", "{tmp}/par-redo-3-6.json", "--marking", "e")),
+    ((), ("tts", "{tmp}/loops-12.json", "--marking", "e")),
     ((), ("gen-net", "--seed", "3")),
     ((), ("--help",)),
     (("-u",), ("--help",)),
@@ -907,8 +1044,8 @@ FULL_STDOUT = [
                     reason="needs /dev/full")
 @pytest.mark.parametrize("python,argv", FULL_STDOUT,
                          ids=["map-small", "map-large", "validate", "reach",
-                              "tts", "gen-net", "help", "help-unbuffered",
-                              "map-unbuffered"])
+                              "tts", "tts-large", "gen-net", "help",
+                              "help-unbuffered", "map-unbuffered"])
 def test_cli_full_stdout_exits_2_with_one_write_error_line(tmp_path, python,
                                                            argv):
     """stdout is /dev/full, where every write fails with ENOSPC: one coded
@@ -984,7 +1121,9 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("argv,err", [
+# (argv, the last stderr line): each a usage error or a net file that
+# cannot be read, parsed or written, with exit 2
+BAD_ARGUMENTS = [
     (("validate", fx("sequence"), "--max-states", "0"),
      "wfmig validate: error: argument --max-states: must be at least 1: '0'"),
     (("reach", fx("sequence"), "--max-states", "-2"),
@@ -1055,17 +1194,22 @@ BAD_INPUTS = {
     (("gen-net", "--parallel-probability", "x"),
      "wfmig gen-net: error: argument --parallel-probability: invalid float "
      "value: 'x'"),
-], ids=["validate-max-states-0", "reach-max-states-negative",
-        "tts-max-states-0", "map-max-states-0", "map-max-tts-states-0",
-        "tts-max-tts-states-not-an-int", "oracle-tts-not-a-command",
-        "gen-net-max-places-1", "gen-net-max-transitions-0", "not-utf-8",
-        "dot-unwritable", "deep-nesting", "id-is-a-place",
-        "lone-surrogate", "place-name-whitespace", "repeated-arc",
-        "validate-long-integer", "map-long-integer", "dot-empty-path",
-        "gen-net-loop-probability-5", "gen-net-loop-probability-negative",
-        "gen-net-loop-probability-inf", "gen-net-loop-probability-nan",
-        "gen-net-parallel-probability-5", "gen-net-parallel-probability-nan",
-        "gen-net-parallel-probability-not-a-float"])
+]
+BAD_ARGUMENT_IDS = [
+    "validate-max-states-0", "reach-max-states-negative", "tts-max-states-0",
+    "map-max-states-0", "map-max-tts-states-0",
+    "tts-max-tts-states-not-an-int", "oracle-tts-not-a-command",
+    "gen-net-max-places-1", "gen-net-max-transitions-0", "not-utf-8",
+    "dot-unwritable", "deep-nesting", "id-is-a-place", "lone-surrogate",
+    "place-name-whitespace", "repeated-arc", "validate-long-integer",
+    "map-long-integer", "dot-empty-path", "gen-net-loop-probability-5",
+    "gen-net-loop-probability-negative", "gen-net-loop-probability-inf",
+    "gen-net-loop-probability-nan", "gen-net-parallel-probability-5",
+    "gen-net-parallel-probability-nan",
+    "gen-net-parallel-probability-not-a-float"]
+
+
+@pytest.mark.parametrize("argv,err", BAD_ARGUMENTS, ids=BAD_ARGUMENT_IDS)
 def test_cli_bad_arguments_and_files_exit_2_with_a_coded_line(
         capsys, tmp_path, argv, err):
     """Each call returns exit 2 with one diagnostic line last on stderr and

@@ -116,6 +116,54 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loads):
     assert loaded & _OPTIONAL == loads
 
 
+# prints the prog of every parser that running the command given as its
+# arguments built, in order, and whether the whole parser was built
+BUILT = """\
+import os, sys
+import wfmig.cli
+progs = []
+init = wfmig.cli._Parser.__init__
+def record(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    progs.append(self.prog)
+wfmig.cli._Parser.__init__ = record
+with open(os.devnull, "w") as sink:
+    sys.stdout = sys.stderr = sink
+    code = wfmig.cli.main(sys.argv[1:])
+    sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+print("\\n".join(progs))
+print(wfmig.cli._shared_parser.cache_info().currsize)
+sys.exit(code)
+"""
+
+_WHOLE = ["wfmig", "wfmig validate", "wfmig reach", "wfmig tts", "wfmig map",
+          "wfmig gen-net"]
+
+
+@pytest.mark.parametrize("argv, code, progs", [
+    (["validate", _OLD], 0, ["wfmig validate"]),
+    (["map", "--old", _OLD, "--new", _NEW, "--format", "json"], 0,
+     ["wfmig map"]),
+    (["map", "--help"], 0, ["wfmig map"]),
+    (["map", "--old", _OLD], 2, ["wfmig map"]),
+    # a word the command leaves over is the whole parser's error
+    (["validate", _OLD, "--bogus"], 2, ["wfmig validate"] + _WHOLE),
+    (["map", "--old", _OLD, "--new", _NEW, "stray"], 2,
+     ["wfmig map"] + _WHOLE),
+    # no command word first: the whole parser
+    (["oracle-tts", _OLD], 2, _WHOLE),
+    (["--help"], 0, _WHOLE),
+    ([], 2, _WHOLE),
+], ids=["validate", "map", "map-help", "map-usage-error", "validate-leftover",
+        "map-leftover", "unknown-command", "help", "no-command"])
+def test_a_command_builds_only_its_own_parser(argv, code, progs):
+    run = _fresh(BUILT, *argv)
+    assert run.returncode == code, run.stderr
+    *built, shared = run.stdout.split("\n")[:-1]
+    assert built == progs
+    assert shared == ("1" if "wfmig" in progs else "0")
+
+
 def test_submodules_resolve_as_package_attributes_after_the_cli():
     # what the benchmark's tracer reads once a validate call has run
     run = _fresh("import sys, wfmig, wfmig.cli\n"
