@@ -69,14 +69,16 @@ def find_equivalence_mapping(old_net, new_net, max_states=DEFAULT_MAX_STATES,
     old_keys, new_keys = old_graph.keys(), new_graph.keys()
     rows = []
     for node, family in old_fams.items():
-        # not set().union(*generator): CPython turns the generator into a
-        # tuple of guessed size and resizes it, and the resized tuples pile
-        # up in its tuple free lists, which only a full collection empties
+        # not set().union(*generator), nor a row's tuple(map(...)) or
+        # tuple(generator): CPython turns the iterator into a tuple of
+        # guessed size and resizes it, and the resized tuples pile up in its
+        # tuple free lists, which only a full collection empties; a tuple
+        # made from a list has its size from the start
         matches = set()
         for member in family:
             matches.update(holders.get(member, ()))
         rows.append((old_keys[node],
-                     tuple(sorted(new_keys[match] for match in matches))))
+                     tuple(sorted([new_keys[match] for match in matches]))))
     rows.sort()
     return MappingTable(tuple(rows))
 

@@ -91,6 +91,12 @@ def key_label(key):
     return "{%s}" % key
 
 
+def keys_label(keys, sep):
+    """The ``key_label`` forms of ``keys`` joined by ``sep``, made in one
+    join, e.g. ``{p1};{p2,p6}``; empty for no keys."""
+    return "{%s}" % ("}" + sep + "{").join(keys) if keys else ""
+
+
 class Transition(namedtuple("Transition", "label is_empty",
                             defaults=(False,))):
     """A labeled transition.  ``is_empty`` marks helper transitions that are

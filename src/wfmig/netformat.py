@@ -24,7 +24,7 @@ import json
 import sys
 
 from .errors import NetFormatError
-from .net import Transition, WFNet, key_label
+from .net import Transition, WFNet, key_label, keys_label
 
 
 def _expect(cond, message, code="PARSE_ERROR"):
@@ -217,36 +217,58 @@ def mapping_document(old_net, new_net, table):
     return {"old_net": old_net.name, "new_net": new_net.name, "rows": rows}
 
 
-def _json_places(key, indent):
-    """``key.split(",")`` as ``json.dumps(..., indent=2)`` writes it with
-    its closing bracket at ``indent`` spaces.  Place names hold no ``,``
-    and no JSON escape holds one, so the key is quoted once and split."""
+def _frame(indent):
+    """The opening, separator and closing that turn a quoted key into its
+    place list with the closing bracket at ``indent`` spaces."""
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad, '",%s"' % pad, "\n%s]" % (" " * indent)
+
+
+_OLD_FRAME, _NEW_FRAME = _frame(6), _frame(8)
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_places(key, frame):
+    """``key.split(",")`` as ``json.dumps(..., indent=2)`` writes it, in
+    ``frame``.  Place names hold no ``,`` and no JSON escape holds one, so
+    the key is quoted once, by the C function ``json.dumps`` calls for a
+    ``str``, and split."""
     if not key:
         return "[]"
-    pad = "\n" + " " * (indent + 2)
-    return '[%s"%s"\n%s]' % (pad, json.dumps(key)[1:-1].replace(
-        ",", '",%s"' % pad), " " * indent)
+    opening, separator, closing = frame
+    return opening + _quote(key).replace(",", separator) + closing
+
+
+class _Rendered(dict):
+    """Each new marking's place list, rendered on first use."""
+
+    def __missing__(self, key):
+        self[key] = text = _json_places(key, _NEW_FRAME)
+        return text
 
 
 def json_lines(old_net, new_net, table):
     """``json.dumps(mapping_document(...), indent=2) + "\\n"``, byte for
     byte, written for this one document shape, in pieces: the head, one
     piece per row, the tail.  With ``indent`` set, ``json.dumps`` takes its
-    pure-Python encoder; here only the leaf strings go through
-    ``json.dumps``, which quotes them in C."""
+    pure-Python encoder; here each old marking and each distinct new
+    marking is rendered once, and a row joins the renderings of its
+    equivalents in C.  The net names, which a caller may set to a
+    non-``str``, still go through ``json.dumps``."""
     yield ('{\n  "old_net": %s,\n  "new_net": %s,\n  "rows": '
            % (json.dumps(old_net.name), json.dumps(new_net.name)))
+    rendered = _Rendered()
     opening = "["
     for old_key, equivalents in table.rows:
         if equivalents:
             right = "[\n        %s\n      ]" % ",\n        ".join(
-                [_json_places(key, 8) for key in equivalents])
+                map(rendered.__getitem__, equivalents))
         else:
             right = "[]"
         yield ('%s\n    {\n      "old_marking": %s,\n'
                '      "equivalents": %s,\n'
                '      "change_region": %s\n    }'
-               % (opening, _json_places(old_key, 6), right,
+               % (opening, _json_places(old_key, _OLD_FRAME), right,
                   "false" if equivalents else "true"))
         opening = ","
     yield "\n  ]\n}\n" if table.rows else "[]\n}\n"
@@ -261,25 +283,25 @@ class _Echo:
 
 
 def csv_lines(old_net, new_net, table):
-    """The CSV text, one row at a time."""
+    """The CSV text, one row at a time; a row's equivalents are one join
+    of its keys."""
     import csv
     row = csv.writer(_Echo(), lineterminator="\n").writerow
     yield row(["old_marking", "equivalents", "change_region"])
     for old_key, equivalents in table.rows:
-        yield row([key_label(old_key),
-                   ";".join(map(key_label, equivalents)),
+        yield row([key_label(old_key), keys_label(equivalents, ";"),
                    "false" if equivalents else "true"])
 
 
 def table_lines(old_net, new_net, table):
     """The aligned text table, one line at a time.  The first column is as
-    wide as its widest key, found by a pass over the key lengths."""
-    width = max([len("old marking")]
-                + [len(key_label(key)) for key, _ in table.rows])
+    wide as its widest key label, the label of its longest key; a row's
+    equivalents are one join of its keys."""
+    longest = max([key for key, _ in table.rows], key=len, default="")
+    width = max(len("old marking"), len(key_label(longest)))
     yield "%-*s  %s\n" % (width, "old marking", "new equivalent markings")
     for old_key, equivalents in table.rows:
-        right = (", ".join(map(key_label, equivalents)) if equivalents
-                 else "(change region)")
+        right = keys_label(equivalents, ", ") or "(change region)"
         yield "%-*s  %s\n" % (width, key_label(old_key), right)
 
 

@@ -1,10 +1,13 @@
+import functools
 import importlib.util
 import pathlib
 import random
 
 import pytest
 
-from wfmig import Transition, WFNet, build_reachability, parse_net, tts_all
+from wfmig import (GenParams, MappingTable, Transition, WFNet,
+                   build_reachability, find_equivalence_mapping, parse_net,
+                   random_wfnet, tts_all)
 from wfmig.equivalence import purge
 from wfmig.reachability import mask_names
 
@@ -98,6 +101,41 @@ def with_empty_transitions(net, seed, share=0.3):
                  [Transition(t.label, rng.random() < share)
                   for t in net.transitions],
                  net.arcs, net.initial_marking, name=net.name)
+
+
+def helper_sequence_net(n):
+    """A sequence of n empty helpers: every marking's purged family is
+    {{}}, so each of the n + 1 rows of its map against itself lists all
+    n + 1 markings."""
+    return with_empty_transitions(long_sequence_net(n), 0, share=1)
+
+
+@functools.cache
+def emit_cases():
+    """(old net, new net, mapping table) triples the emitters are checked
+    on against their references: every ordered fixture pair, 40 generator
+    pairs with empty transitions, two self-maps whose rows list many
+    markings, and hand-made tables with the empty marking, a change-region
+    row, no rows, and names holding JSON specials."""
+    nets = [fixture_net(name) for name in FIXTURE_NAMES]
+    pairs = [(old, new) for old in nets for new in nets]
+    for seed in range(40):
+        pairs.append(tuple(
+            with_empty_transitions(random_wfnet(GenParams(seed=s)), s)
+            for s in (seed, seed + 5000)))
+    pairs += [(helper_sequence_net(300),) * 2, (par_redo_net(3, 4),) * 2]
+    cases = [(old, new, find_equivalence_mapping(old, new))
+             for old, new in pairs]
+    odd = WFNet(["s", "e"], ["t"], [("s", "t"), ("t", "e")],
+                name='q"\\ \xe9\u4e2d\U0001f600\n')
+    cases += [(odd, odd, MappingTable(rows)) for rows in [
+        (),
+        (("", ()),),                                  # a change-region row
+        (("", ("",)), ("a", ("", "b,c"))),            # the empty marking
+        (('b\\s,q"x', ('q"x', '\xe9,\u4e2d\U0001f600')),
+         ("\x7f\t", ('b\\s', "\x00"))),
+    ]]
+    return tuple(cases)
 
 
 def oracle_mapping(old_net, new_net):

@@ -1,10 +1,13 @@
 """Reference code the tests check the package against: the token game on
 frozenset markings, with presets and postsets read from ``net.arcs``, and
 the reachability BFS built on it; the brute-force TTS oracle, on the int
-graph's CSR out-edges and ``pred`` only.  It imports nothing from
-``wfmig.tts`` or ``wfmig.equivalence``, the code it is the ground truth
-for."""
+graph's CSR out-edges and ``pred`` only; the table and CSV texts of a
+mapping table, one ``key_label`` per key.  It imports nothing from
+``wfmig.tts``, ``wfmig.equivalence`` or ``wfmig.netformat``, the code it is
+the ground truth for."""
 
+import csv
+import io
 from collections import deque
 
 from wfmig.errors import StateLimitError, UnsafeNetError, WfmigError
@@ -230,3 +233,30 @@ def oracle_tts(graph, node, bound=None):
             stack.append((dst[edge], labels | {names[lab[edge]]},
                           budget - 1))
     return frozenset(found)
+
+
+def table_text(old_net, new_net, table):
+    """The aligned text table of a mapping table: the first column as wide
+    as the widest old key label, each equivalent a ``key_label``, joined by
+    ``", "``."""
+    width = max([len("old marking")]
+                + [len(key_label(key)) for key, _ in table.rows])
+    lines = ["%-*s  %s\n" % (width, "old marking", "new equivalent markings")]
+    for old_key, equivalents in table.rows:
+        right = (", ".join(map(key_label, equivalents)) if equivalents
+                 else "(change region)")
+        lines.append("%-*s  %s\n" % (width, key_label(old_key), right))
+    return "".join(lines)
+
+
+def csv_text(old_net, new_net, table):
+    """The CSV text of a mapping table, written by one ``csv.writer``: each
+    equivalent a ``key_label``, joined by ``";"``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["old_marking", "equivalents", "change_region"])
+    for old_key, equivalents in table.rows:
+        writer.writerow([key_label(old_key),
+                         ";".join(map(key_label, equivalents)),
+                         "false" if equivalents else "true"])
+    return out.getvalue()

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wfmig import (GenParams, MappingTable, NetFormatError, Transition,
+from wfmig import (GenParams, NetFormatError, Transition,
                    WFNet, build_reachability, find_equivalence_mapping,
                    parse_net, random_wfnet, serialize_net, tts_all)
 from wfmig import cli, netformat
@@ -23,8 +23,8 @@ from wfmig.netformat import emit_json, mapping_document
 from wfmig.reachability import mask_names, to_dot
 
 from conftest import (FIXTURE_NAMES, GOLDEN, LONG_INT, ROOT, SURROGATE,
-                      fixture_net, fixture_path as fx, long_sequence_net,
-                      par_redo_net, with_empty_transitions)
+                      emit_cases, fixture_net, fixture_path as fx,
+                      long_sequence_net, par_redo_net, with_empty_transitions)
 from reference import oracle_tts
 from test_fuzz import net_documents
 
@@ -120,30 +120,10 @@ def test_round_trip_and_dot_on_arbitrary_names(net):
 
 def test_emit_json_writes_what_json_dumps_writes():
     """emit_json writes the mapping document itself; mapping_document
-    through json.dumps is the reference, on every ordered fixture pair,
-    generator pairs with empty transitions, and hand-made tables with the
-    empty marking, no rows, and names holding JSON specials."""
-    def reference(old, new, table):
-        return json.dumps(mapping_document(old, new, table), indent=2) + "\n"
-
-    nets = [fixture_net(name) for name in FIXTURE_NAMES]
-    cases = [(old, new, find_equivalence_mapping(old, new))
-             for old in nets for new in nets]
-    for seed in range(40):
-        old, new = (with_empty_transitions(random_wfnet(GenParams(seed=s)), s)
-                    for s in (seed, seed + 5000))
-        cases.append((old, new, find_equivalence_mapping(old, new)))
-    odd = WFNet(["s", "e"], ["t"], [("s", "t"), ("t", "e")],
-                name='q"\\ \xe9\u4e2d\U0001f600\n')
-    cases += [(odd, odd, MappingTable(rows)) for rows in [
-        (),
-        (("", ()),),                                  # a change-region row
-        (("", ("",)), ("a", ("", "b,c"))),            # the empty marking
-        (('b\\s,q"x', ('q"x', '\xe9,\u4e2d\U0001f600')),
-         ("\x7f\t", ('b\\s', "\x00"))),
-    ]]
-    for old, new, table in cases:
-        assert emit_json(old, new, table) == reference(old, new, table)
+    through json.dumps is the reference, on every ``emit_cases`` case."""
+    for old, new, table in emit_cases():
+        assert emit_json(old, new, table) == json.dumps(
+            mapping_document(old, new, table), indent=2) + "\n"
 
 
 def test_arcs_name_transitions_by_id():

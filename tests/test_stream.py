@@ -13,19 +13,14 @@ from wfmig import cli, netformat
 from wfmig.cli import main
 from wfmig.reachability import to_dot
 
-from conftest import (FIXTURE_NAMES, fixture_net, long_sequence_net,
-                      par_net, par_redo_net, with_empty_transitions)
+from conftest import (FIXTURE_NAMES, emit_cases, fixture_net,
+                      helper_sequence_net, par_net, par_redo_net,
+                      with_empty_transitions)
+from reference import csv_text, table_text
 
 EMIT = {"table": netformat.emit_table, "json": netformat.emit_json,
         "csv": netformat.emit_csv}
 VALID_FIXTURES = [name for name in FIXTURE_NAMES if name != "fig2b"]
-
-
-def helper_sequence_net(n):
-    """A sequence of n empty helpers: every marking's purged family is
-    {{}}, so each of the n + 1 rows of its map against itself lists all
-    n + 1 markings."""
-    return with_empty_transitions(long_sequence_net(n), 0, share=1)
 
 
 def generator_nets():
@@ -104,6 +99,36 @@ def test_cli_map_stdout_equals_emit(tmp_path, capsys, fmt):
             old, new, find_equivalence_mapping(old, new)), (old.name,
                                                             new.name)
     assert len(captured.out) > 4 * cli.BATCH_CHARS
+
+
+@pytest.mark.parametrize("fmt, reference", [("table", table_text),
+                                            ("csv", csv_text)])
+def test_emit_table_and_csv_write_what_the_references_write(fmt, reference):
+    """emit_table and emit_csv join each row's keys at once; the
+    references write one ``key_label`` per key, on every ``emit_cases``
+    case."""
+    for old, new, table in emit_cases():
+        assert EMIT[fmt](old, new, table) == reference(old, new, table)
+
+
+def test_map_json_renders_each_marking_once(tmp_path, capsys, monkeypatch):
+    """``map --format json`` of par_redo(3,4) against itself renders each
+    old row's marking once and each distinct new marking at most once, not
+    once per entry: its rows hold over ten times that many entries."""
+    net = par_redo_net(3, 4)
+    path = write_net(tmp_path, net)
+    rendered = []
+    render = netformat._json_places
+    monkeypatch.setattr(netformat, "_json_places",
+                        lambda key, frame: rendered.append(key)
+                        or render(key, frame))
+    assert main(["map", "--old", path, "--new", path,
+                 "--format", "json"]) == 0
+    capsys.readouterr()
+    rows = find_equivalence_mapping(net, net).rows
+    once = len(rows) + len({key for _, eq in rows for key in eq})
+    assert sum(len(eq) for _, eq in rows) > 10 * once
+    assert len(rendered) <= once
 
 
 def traced_peak(argv):
