@@ -37,7 +37,7 @@ import sys
 
 from . import netformat, reachability
 from .errors import NetFormatError, WfmigError
-from .net import _reach, key_label, marking_key, validate_structural
+from .net import key_label, marking_key, validate_structural
 from .reachability import DEFAULT_MAX_STATES, DEFAULT_MAX_TTS_STATES
 
 USAGE_ERROR = 2
@@ -100,7 +100,7 @@ def cmd_validate(args):
     behavioral_ok = False
     if structural.ok:
         graph = reachability.build_reachability(net, args.max_states)
-        behavioral = reachability.validate_behavioral(net, graph)
+        behavioral = reachability.validate_behavioral(graph)
         _print_violations(behavioral)
         behavioral_ok = behavioral.ok
     print("structural: %s" % ("ok" if structural.ok else "FAILED"))
@@ -142,8 +142,7 @@ def cmd_tts(args):
                          % key_label(marking_key(marking)),
                          code="UNREACHABLE_MARKING")
     ignore = frozenset() if args.keep_empty else net.empty_labels
-    ancestors = _reach({node}, graph.pred())
-    family = tts.tts_all(graph, ignore, nodes=ancestors,
+    family = tts.tts_all(graph, ignore, target=node,
                          max_states=args.max_tts_states)[node]
     members = sorted(reachability.mask_names(graph.labels, member)
                      for member in family)

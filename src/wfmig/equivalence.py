@@ -26,8 +26,8 @@ class MappingTable(namedtuple("MappingTable", "rows")):
 # kept in the package: bench/tracer.py wraps it by module attribute
 def purge(family, empty_labels):
     """Remove empty-transition labels from every member set; deduplicate.
-    The production path never calls it: ``tts_all`` drops the labels as it
-    walks.  It stays as the reference the tests check that against."""
+    The production path never calls it: ``tts_all`` leaves the labels out
+    as it walks.  It stays as the reference the tests check that against."""
     empty = frozenset(empty_labels)
     return frozenset(tts - empty for tts in family)
 
@@ -37,35 +37,29 @@ def find_equivalence_mapping(old_net, new_net, max_states=DEFAULT_MAX_STATES,
     """Build both reachability graphs and their purged TTS families, index
     the new marking ids by the purged TTSs they hold, and list for every
     old marking all new markings sharing at least one purged TTS; node ids
-    become keys only here, in the rows.  Both closures number their label
-    bits in one order, the sorted union of the two nets' labels, so a TTS
-    is one int key in the index whichever net it comes from; each net's
-    own empty labels get no bit.
+    become keys only here, in the rows.
 
-    A purged TTS holding a label of one net's purged alphabet (its labels
-    less its own empty labels) that the other net's lacks can match no
-    purged TTS of the other net, and nor can any TTS a longer trace grows
-    from it.  So each closure drops those labels: such TTSs all become the
-    member -1 (see ``tts_all``), which the join never looks up.
-    ``max_states`` bounds each reachability graph and ``max_tts_states``
-    each closure."""
+    Both closures take one alphabet: the sorted labels of both nets' purged
+    alphabets (a net's labels less its own empty labels), so a TTS is one
+    int key in the index whichever net it comes from.  A purged TTS holding
+    a label the other net's purged alphabet lacks can match no purged TTS
+    of the other net, and nor can any TTS a longer trace grows from it, so
+    neither closure follows a trace that fires such a label (see
+    ``tts_all``).  ``max_states`` bounds each reachability graph and
+    ``max_tts_states`` each closure."""
     old_graph = build_reachability(old_net, max_states)
     new_graph = build_reachability(new_net, max_states)
-    order = sorted(old_net.labels | new_net.labels)
-    old_alphabet = old_net.labels - old_net.empty_labels
-    new_alphabet = new_net.labels - new_net.empty_labels
+    order = sorted((old_net.labels - old_net.empty_labels)
+                   & (new_net.labels - new_net.empty_labels))
 
     holders = {}
     for node, family in tts_all(new_graph, new_net.empty_labels, order,
-                                max_states=max_tts_states,
-                                drop=new_alphabet - old_alphabet).items():
+                                max_states=max_tts_states).items():
         for member in family:
             holders.setdefault(member, []).append(node)
-    holders.pop(-1, None)
 
     old_fams = tts_all(old_graph, old_net.empty_labels, order,
-                       max_states=max_tts_states,
-                       drop=old_alphabet - new_alphabet)
+                       max_states=max_tts_states)
     old_keys, new_keys = old_graph.keys(), new_graph.keys()
     rows = []
     for node, family in old_fams.items():

@@ -114,6 +114,11 @@ class ReachGraph:
                 back[d].append(node)
         return back
 
+    def ancestors(self, node):
+        """The ids of the nodes ``node`` is reachable from, itself and the
+        initial node included, as a set."""
+        return _reach({node}, self.pred())
+
 
 def build_reachability(net, max_states=DEFAULT_MAX_STATES):
     """Breadth-first exploration of all reachable markings.
@@ -181,7 +186,7 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
     return ReachGraph(places, labels, masks, off, lab, dst, terminal)
 
 
-def validate_behavioral(net, graph):
+def validate_behavioral(graph):
     """Soundness checks on the finished graph.
 
     DEAD_TRANSITION: transition labels no edge.  NO_PROPER_COMPLETION: the
@@ -198,7 +203,7 @@ def validate_behavioral(net, graph):
                 label))
 
     can_finish = (set() if graph.terminal is None
-                  else _reach({graph.terminal}, graph.pred()))
+                  else graph.ancestors(graph.terminal))
     for node in graph.nodes:
         if node not in can_finish:
             violations.append(Violation(
@@ -211,23 +216,24 @@ def validate_behavioral(net, graph):
 def dot_lines(graph):
     """The graph as DOT text, one line at a time, each ending in a newline;
     byte-deterministic (canonical order): nodes by key, then each source's
-    edges in label order, which is their CSR order.  Node names are
-    ``key_label`` forms, written inline; ``\\`` and ``"`` in names and
-    labels are escaped, once per name.  The keys are built up front, the
-    lines one by one, so a caller can write them as they come."""
+    edges in label order, which is their CSR order.  Node names are the
+    ``key_label`` forms of the keys, with ``\\`` and ``"`` escaped, as are
+    the labels; each name is made once.  The keys and names are built up
+    front, the lines one by one, so a caller can write them as they come."""
     keys = graph.keys()
-    name = [k.replace("\\", "\\\\").replace('"', '\\"') for k in keys]
+    name = [key_label(k.replace("\\", "\\\\").replace('"', '\\"'))
+            for k in keys]
     label = [t.replace("\\", "\\\\").replace('"', '\\"')
              for t in graph.labels]
     off, lab, dst = graph.off, graph.lab, graph.dst
     order = sorted(graph.nodes, key=keys.__getitem__)
     yield "digraph reachability {\n"
     for node in order:
-        yield '  "{%s}";\n' % name[node]
+        yield '  "%s";\n' % name[node]
     for node in order:
         source = name[node]
         for e in range(off[node], off[node + 1]):
-            yield '  "{%s}" -> "{%s}" [label="%s"];\n' % (
+            yield '  "%s" -> "%s" [label="%s"];\n' % (
                 source, name[dst[e]], label[lab[e]])
     yield "}\n"
 

@@ -6,14 +6,15 @@ Traces may be infinite in number (loops), but the family is finite.
 ``tts_all``, the engine ``map`` and ``tts`` run, computes it by a forward
 closure over the int graph that can leave a net's empty labels out as it
 walks.  Its members are ints: a TTS is a bitmask over one explicit label
-order, bit ``i`` for the ``i``-th label.  ``map`` gives both nets the
-sorted union of their labels, so equal label sets are equal ints across
-the nets; ``tts`` uses the net's own sorted labels and decodes the masks
-only to print them (``reachability.mask_names``).  ``map`` also gives each
-closure the labels the other net lacks, to drop: the TTSs that hold one
-can match nothing, and are not listed.  The closure's (node, member)
-states can grow exponentially with the net, so it counts them and stops
-past a limit (``TtsLimitError``, ``--max-tts-states``).
+order, the closure's alphabet, bit ``i`` for the ``i``-th label; a trace
+that fires a label outside it is not followed.  ``map`` gives both nets
+the sorted labels they share, so equal label sets are equal ints across
+the nets, and a TTS holding a label the other net lacks, which can match
+nothing there, is never built.  ``tts`` uses the net's own sorted labels
+and decodes the masks only to print them (``reachability.mask_names``).
+The closure's (node, member) states can grow exponentially with the net,
+so it counts them and stops past a limit (``TtsLimitError``,
+``--max-tts-states``).
 
 The paper's construction stays as the reference the tests check: elementary
 seed paths absorb every elementary cycle touching a node already covered,
@@ -155,40 +156,33 @@ def tts_for_node(graph, node, cycles=None):
     return frozenset(label_set(graph, es.edges) for es in expanded)
 
 
-def tts_all(graph, ignore=frozenset(), order=None, nodes=None,
-            max_states=DEFAULT_MAX_TTS_STATES, drop=frozenset()):
+def tts_all(graph, ignore=frozenset(), order=None, target=None,
+            max_states=DEFAULT_MAX_TTS_STATES):
     """TTS families by node id, each a set of int members: a worklist
     closure over (node, member) states from (initial, 0) along the CSR
-    edges.  Bit ``i`` of a member stands for label ``order[i]`` (default
-    ``graph.labels``, which is sorted); ``order`` must hold every label of
-    the graph.  An edge leads to (dst, member | its label's bit), and a
-    label in ``ignore`` has no bit, so it adds nothing.  Each state reached
-    at a node is one of its TTSs with the ``ignore`` labels left out.
+    edges.  ``order`` is the alphabet (default ``graph.labels``, which is
+    sorted): bit ``i`` of a member stands for label ``order[i]``.  An edge
+    leads to (dst, member | its label's bit), and a label in ``ignore`` has
+    no bit, so it adds nothing.  An edge whose label is in neither is not
+    followed.  Each state reached at a node is one of its TTSs with the
+    ``ignore`` labels left out, among those of the traces that fire no
+    label outside the two sets; with the default ``order``, all of them.
 
-    A label in ``drop`` (and not in ``ignore``) has the bit value -1, and
-    ``-1 | x == -1``: a trace that fires it ends in the one member -1 at
-    every node it goes on to, which stands for all of that node's TTSs
-    holding a dropped label.  ``map`` drops the labels the other net lacks,
-    whose TTSs can match nothing there; the other members are the node's
-    TTSs without a dropped label, one member each.  With no ``drop``, the
-    member count is the TTS count.
-
-    ``nodes``, if given, must hold the initial node and every predecessor
-    of each of its nodes, as the ancestors of a node do.  Only the nodes in
-    ``nodes`` get a family, an edge into any other node is skipped, and the
-    families returned, those of ``nodes``, are the same as in the whole
-    graph.
+    With a ``target`` node, only the target's ancestors (itself included)
+    get a family, an edge into any other node is skipped, and the families
+    returned, those of the ancestors, are the same as in the whole graph.
 
     Raises TtsLimitError when the states, counted once each as they are
-    added (a -1 member included), would exceed ``max_states``."""
+    added, would exceed ``max_states``."""
     if max_states < 1:
         raise ValueError("max_states must be >= 1")
-    position = {label: i for i, label in enumerate(
+    bit_of = {label: 1 << i for i, label in enumerate(
         graph.labels if order is None else order)}
-    bits = [0 if label in ignore else -1 if label in drop
-            else 1 << position[label] for label in graph.labels]
+    bits = [0 if label in ignore else bit_of.get(label)    # None: skipped
+            for label in graph.labels]
     off, lab, dst = graph.off, graph.lab, graph.dst
-    held = graph.nodes if nodes is None else sorted(nodes)
+    held = (graph.nodes if target is None
+            else sorted(graph.ancestors(target)))
     families = [None] * len(graph.nodes)    # None: no family, edge skipped
     for node in held:
         families[node] = set()
@@ -199,9 +193,10 @@ def tts_all(graph, ignore=frozenset(), order=None, nodes=None,
         node, labels = worklist.pop()
         for e in range(off[node], off[node + 1]):
             family = families[dst[e]]
-            if family is None:
+            bit = bits[lab[e]]
+            if family is None or bit is None:
                 continue
-            reached = labels | bits[lab[e]]
+            reached = labels | bit
             if reached not in family:
                 if not budget:
                     raise TtsLimitError("TTS closure exceeds %d states"

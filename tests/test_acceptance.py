@@ -163,7 +163,7 @@ def test_criterion_7_validation_codes():
         net = fixture_net("sequence")
         structural = validate_structural(net)
         assert structural.ok
-        behavioral = validate_behavioral(net, build_reachability(net))
+        behavioral = validate_behavioral(build_reachability(net))
         assert behavioral.ok
 
 

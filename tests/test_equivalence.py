@@ -266,8 +266,9 @@ def test_label_order_changes_no_family_and_no_row(drawn):
 
 
 # ---------------------------------------------------------------------------
-# Alphabet pruning: ``find_equivalence_mapping`` drops from each closure the
-# labels the other net lacks, and must give the rows of whole closures.
+# Alphabet pruning: ``find_equivalence_mapping``'s closures follow no trace
+# that fires a label the other net lacks, and must give the rows of whole
+# closures.
 
 BENCH_INPUTS = bench_inputs()
 # random_wfnet's size and probabilities in the map-loops workload
@@ -287,8 +288,9 @@ def _edited_pair(seed, shape=MAP_LOOPS_SHAPE, share=0):
 
 
 def _unpruned_mapping(old_net, new_net):
-    """The rows of whole closures, with no drop set, joined through the
-    ``holders`` index as ``find_equivalence_mapping`` joins them."""
+    """The rows of whole closures, over the union of both nets' labels,
+    joined through the ``holders`` index as ``find_equivalence_mapping``
+    joins them."""
     old_g, new_g = build_reachability(old_net), build_reachability(new_net)
     order = sorted(old_net.labels | new_net.labels)
     holders = {}
@@ -317,16 +319,30 @@ def edited_pairs(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(edited_pairs())
 def test_pruned_mapping_equals_the_unpruned_join(pair):
+    """Both directions; no family the mapping's closures return holds a
+    negative member."""
     old, new = pair
-    for a, b in ((old, new), (new, old)):
-        assert find_equivalence_mapping(a, b) == _unpruned_mapping(a, b)
+    families = []
+
+    def recorded(*args, **kwargs):
+        result = tts_all(*args, **kwargs)
+        families.extend(result.values())
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equivalence, "tts_all", recorded)
+        for a, b in ((old, new), (new, old)):
+            assert find_equivalence_mapping(a, b) == _unpruned_mapping(a, b)
+    assert families
+    assert all(member >= 0 for family in families for member in family)
 
 
 def test_pruning_cuts_the_closures_of_a_renamed_pair(monkeypatch):
     """The map-loops pair of seed 7: T10 becomes UT10, the redo T5 is
     dropped and the helper e0 goes in.  Whole closures hold 69 states in
-    the old net and 38 in the new one; ``map`` drops T10 and T5 from the
-    old closure and UT10 from the new one, which then hold 18 and 20."""
+    the old net and 38 in the new one; ``map``'s closures take the labels
+    both nets share, leaving out T10 and T5 of the old net and UT10 of the
+    new one, and then hold 9 and 10."""
     old, new = _edited_pair(7)
     old_g, new_g = build_reachability(old), build_reachability(new)
     order = sorted(old.labels | new.labels)
@@ -337,13 +353,15 @@ def test_pruning_cuts_the_closures_of_a_renamed_pair(monkeypatch):
 
     def counted(*args, **kwargs):
         families = tts_all(*args, **kwargs)
-        states.append((sorted(kwargs["drop"]),
-                       sum(map(len, families.values()))))
+        states.append((args[2], sum(map(len, families.values()))))
         return families
 
     monkeypatch.setattr(equivalence, "tts_all", counted)
     table = find_equivalence_mapping(old, new)
-    assert states == [(["UT10"], 20), (["T10", "T5"], 18)]     # new, old
+    shared = sorted((old.labels - old.empty_labels)
+                    & (new.labels - new.empty_labels))
+    assert not {"T10", "T5", "UT10"} & set(shared)
+    assert states == [(shared, 10), (shared, 9)]     # new, old
     assert table == _unpruned_mapping(old, new)
 
 

@@ -926,8 +926,8 @@ def test_cli_map_against_a_renamed_task_finishes_under_the_default_limit(
         capsys, tmp_path):
     """The generator net of seed 1 at 24 places and 36 transitions has
     about 7.5e6 TTSs, past the default --max-tts-states.  Against a copy
-    with T15 renamed UT15, map's closures drop every trace that fires
-    T15 or UT15, hold 43,500 states each, and finish."""
+    with T15 renamed UT15, map's closures follow no trace that fires T15
+    or UT15, keep 43,465 states each, and finish."""
     net = random_wfnet(GenParams(seed=1, max_places=24, max_transitions=36))
 
     def rename(name):

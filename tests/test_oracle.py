@@ -84,7 +84,7 @@ def test_generated_nets_are_valid():
         net = random_wfnet(GenParams(seed=seed))
         assert validate_structural(net).ok, seed
         g = build_reachability(net)
-        assert validate_behavioral(net, g).ok, seed
+        assert validate_behavioral(g).ok, seed
 
 
 def test_zero_loop_probability_gives_acyclic_graphs():

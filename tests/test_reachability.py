@@ -42,7 +42,7 @@ def test_unsafe_net_detected():
 
 def test_behavioral_sequence_ok(sequence_net):
     g = build_reachability(sequence_net)
-    assert validate_behavioral(sequence_net, g).ok
+    assert validate_behavioral(g).ok
 
 
 def _dead_end_net():
@@ -58,7 +58,7 @@ def _dead_end_net():
 def test_behavioral_flags_dead_end_and_dead_transition():
     net = _dead_end_net()
     g = build_reachability(net)
-    report = validate_behavioral(net, g)
+    report = validate_behavioral(g)
     codes = {(v.code, v.element) for v in report.violations}
     # t4 joins p2 and p3, which are never marked together
     assert ("DEAD_TRANSITION", "t4") in codes
@@ -68,7 +68,7 @@ def test_behavioral_flags_dead_end_and_dead_transition():
 
 def test_no_terminal_flags_every_node(fig4_net):
     g = build_reachability(fig4_net)
-    report = validate_behavioral(fig4_net, g)
+    report = validate_behavioral(g)
     flagged = {v.element for v in report.violations
                if v.code == "NO_PROPER_COMPLETION"}
     assert flagged == {"{%s}" % key for key in g.keys()}

@@ -6,6 +6,7 @@ from wfmig import (GenParams, TtsLimitError, WFNet, build_reachability,
                    random_wfnet, tts_all)
 from wfmig.equivalence import purge
 from wfmig.net import _reach
+from wfmig.reachability import ReachGraph, mask_names
 from wfmig.tts import (EdgeSet, attachable_cycles, expand_with_cycles,
                        find_cycles, find_simple_paths, label_set,
                        tts_for_node)
@@ -182,29 +183,58 @@ def test_tts_all_sequence(sequence_net):
     }
 
 
-def test_tts_all_drop_ends_a_trace_in_member_minus_one(sequence_net):
+def test_tts_all_follows_no_trace_out_of_the_alphabet(sequence_net):
     g = build_reachability(sequence_net)
-    assert tts_all(g, drop={"T0"}) == {0: {0}, 1: {-1}, 2: {-1}}
-    assert tts_all(g, drop={"T1"}) == {0: {0}, 1: {1}, 2: {-1}}
+    assert tts_all(g, order=["T1"]) == {0: {0}, 1: set(), 2: set()}
+    assert tts_all(g, order=["T0"]) == {0: {0}, 1: {1}, 2: set()}
+    # an ignored label adds nothing, in the alphabet or not
+    assert tts_all(g, {"T0"}, order=["T1"]) == {0: {0}, 1: {0}, 2: {1}}
+
+
+def _decoded(families, order):
+    return {node: {frozenset(mask_names(order, member)) for member in family}
+            for node, family in families.items()}
 
 
 @pytest.mark.parametrize("seed", range(15))
 def test_drop_keeps_the_members_without_a_dropped_label(seed):
-    """A node's members other than -1 are its whole family's members that
-    hold no dropped label, and -1 stands for the rest, if there are any."""
+    """With a third of the labels dropped from the alphabet, a node's
+    family, decoded by name, is the whole family's members that hold no
+    dropped label."""
     net = with_empty_transitions(random_wfnet(GenParams(
         seed=seed, max_places=6, max_transitions=8)), seed)
     g = build_reachability(net)
     drop = frozenset(random.Random(seed).sample(
         g.labels, len(g.labels) // 3)) - net.empty_labels
-    dropped = sum(1 << i for i, label in enumerate(g.labels)
-                  if label in drop)
-    whole = tts_all(g, net.empty_labels)
-    pruned = tts_all(g, net.empty_labels, drop=drop)
+    order = [label for label in g.labels if label not in drop]
+    whole = _decoded(tts_all(g, net.empty_labels), g.labels)
+    assert _decoded(tts_all(g, net.empty_labels, order), order) == {
+        node: {tts for tts in family if not tts & drop}
+        for node, family in whole.items()}
+
+
+def _cut(g, t):
+    """``g`` with the edges that fire label ``g.labels[t]`` taken out."""
+    off, lab, dst = [0], [], []
     for node in g.nodes:
-        kept = {member for member in whole[node] if not member & dropped}
-        assert pruned[node] - {-1} == kept
-        assert (-1 in pruned[node]) == (kept != whole[node])
+        for e in range(g.off[node], g.off[node + 1]):
+            if g.lab[e] != t:
+                lab.append(g.lab[e])
+                dst.append(g.dst[e])
+        off.append(len(dst))
+    return ReachGraph(g.places, g.labels, g.masks, off, lab, dst, g.terminal)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_an_order_without_a_label_leaves_its_traces_out(name):
+    """Each label in turn left out of the alphabet: decoded by name, the
+    families are those of the graph with that label's edges cut, where a
+    marking that only such traces reach has an empty family."""
+    g = build_reachability(fixture_net(name))
+    for t, label in enumerate(g.labels):
+        order = g.labels[:t] + g.labels[t + 1:]
+        assert _decoded(tts_all(g, order=order), order) == _decoded(
+            tts_all(_cut(g, t)), g.labels), label
 
 
 def test_every_member_contains_a_seed(fig6_graph):
@@ -311,7 +341,7 @@ def test_fixpoint_attaches_a_cycle_through_the_initial_marking():
 
 
 # ---------------------------------------------------------------------------
-# tts_all with ``nodes``, as ``wfmig tts`` runs it, against the whole graph.
+# tts_all with ``target``, as ``wfmig tts`` runs it, against the whole graph.
 
 def assert_ancestor_closure_matches_whole_graph(net):
     """At every reachable marking, the closure over its ancestors alone
@@ -321,7 +351,7 @@ def assert_ancestor_closure_matches_whole_graph(net):
     pred = g.pred()
     for node in g.nodes:
         ancestors = _reach({node}, pred)
-        assert tts_all(g, net.empty_labels, nodes=ancestors) == {
+        assert tts_all(g, net.empty_labels, target=node) == {
             n: whole[n] for n in sorted(ancestors)}, node
 
 
@@ -373,9 +403,10 @@ def test_tts_limit_counts_the_ancestor_states_only():
     pred = g.pred()
     for node in g.nodes:
         ancestors = _reach({node}, pred)
-        part = tts_all(g, nodes=ancestors)
+        part = tts_all(g, target=node)
+        assert set(part) == ancestors
         states = sum(map(len, part.values()))
-        assert tts_all(g, nodes=ancestors, max_states=states) == part
+        assert tts_all(g, target=node, max_states=states) == part
         if states > 1:
             with pytest.raises(TtsLimitError):
-                tts_all(g, nodes=ancestors, max_states=states - 1)
+                tts_all(g, target=node, max_states=states - 1)
