@@ -5,10 +5,12 @@ limit, unsafe net, unreachable marking), 2 usage error, a net file that
 cannot be read or parsed, or a ``--dot`` file or stdout that cannot be
 written (a closed pipe or a full disk included; one ``WRITE_ERROR`` line).
 Diagnostics go to stderr, data to stdout, and all output is
-byte-deterministic for equal inputs and flags.  ``reach --dot``, ``map``
-and ``tts`` write their text in batches of about ``BATCH_CHARS`` characters
-as it is made, so none holds the whole text (``tts`` sorts its members
-first); ``to_dot`` and ``emit_*`` join the same pieces into one string.
+byte-deterministic for equal inputs and flags.  A coded error line is one
+line: a line break in the argv text it echoes is written as its escape.
+``reach --dot``, ``map`` and ``tts`` write their text in batches of about
+``BATCH_CHARS`` characters as it is made, so none holds the whole text
+(``tts`` sorts its members first); ``to_dot`` and ``emit_*`` join the same
+pieces into one string.
 Every command runs the production engines only.  The paper's fixpoint
 (``tts.tts_for_node``) reads the same graph and is for the tests, as are
 the oracle and the frozenset token game in ``tests/reference.py``.
@@ -20,13 +22,13 @@ loads ``errors``, ``net``, ``reachability`` and ``netformat`` (with
 ``tts``; ``map`` loads ``equivalence`` and ``tts``, and ``csv`` for
 ``--format csv``; ``gen-net`` loads ``oracle`` and ``random``.
 
-Nor does a command build more parser than it uses.  When the first word
-of the argv names a command, ``main`` builds that command's parser alone
-(``_command_parser``), with the prog, arguments and help it has under the
-whole parser.  Any other argv (none, ``--help``, an unknown command) and a
-word the command leaves over build the whole parser (``build_parser``),
-which gives the top-level usage and error lines.  A net file is read as
-bytes and decoded once, with the text a text-mode read gives.
+The argument parser is built once per process (``_parsers``): the top
+level and one parser per command under it.  When the first word of the
+argv names a command, ``main`` runs that command's parser alone and skips
+the top level's parse; any other argv (none, ``--help``, an unknown
+command) runs the top level, which also reports a word the command leaves
+over.  A net file is read as bytes and decoded once, with the text a
+text-mode read gives.
 """
 
 import argparse
@@ -44,6 +46,9 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 # a batch of output text is written once it holds this many characters
 BATCH_CHARS = 1 << 16
+# each character str.splitlines breaks a line at -> its repr escape
+LINE_BREAK_ESCAPES = {ord(c): repr(c)[1:-1]
+                      for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
 
 
 def _write_batched(stream, pieces):
@@ -60,6 +65,10 @@ def _write_batched(stream, pieces):
     stream.write("".join(batch))
 
 
+def _reason(exc):
+    return exc.strerror if isinstance(exc, OSError) else exc
+
+
 def _load_net(path):
     r"""The net in the file at ``path``, its text as a text-mode read gives
     it: decoded as UTF-8 in one pass over the bytes, then ``\r\n`` and a
@@ -67,9 +76,8 @@ def _load_net(path):
     try:
         with open(path, "rb") as handle:
             text = handle.read().decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise NetFormatError("cannot read %s: %s" % (path, reason),
+    except (OSError, ValueError) as exc:    # a NUL in the path, bad UTF-8
+        raise NetFormatError("cannot read %s: %s" % (path, _reason(exc)),
                              code="PARSE_ERROR") from exc
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -118,9 +126,9 @@ def cmd_reach(args):
         try:
             with open(args.dot, "w", encoding="utf-8") as handle:
                 _write_batched(handle, reachability.dot_lines(graph))
-        except OSError as exc:
+        except (OSError, ValueError) as exc:    # ValueError: a NUL in it
             raise NetFormatError("cannot write %s: %s"
-                                 % (args.dot, exc.strerror),
+                                 % (args.dot, _reason(exc)),
                                  code="WRITE_ERROR") from exc
     print("nodes: %d" % len(graph.nodes))
     print("edges: %d" % len(graph.edges))
@@ -286,48 +294,37 @@ _COMMANDS = {
 }
 
 
-def build_parser():
-    """The whole parser: the top level and every command under it."""
+@functools.cache
+def _parsers():
+    """The whole parser and, by name, the command parsers its subparsers
+    action made, built once per process: building costs more than parsing,
+    and parsing leaves them unchanged."""
     parser = _Parser(
         prog="wfmig",
         description="History-equivalence mapping between workflow nets "
                     "for dynamic process migration.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="{validate,reach,tts,map}")
+    commands = {}
     for name, (summary, add) in _COMMANDS.items():
-        add(sub.add_parser(name) if summary is None
-            else sub.add_parser(name, help=summary))
-    return parser
-
-
-@functools.cache
-def _shared_parser():
-    """The whole parser, built once per process: building it costs more
-    than parsing with it, and parsing leaves it unchanged."""
-    return build_parser()
-
-
-@functools.cache
-def _command_parser(name):
-    """One command's parser alone, built once per process, as
-    ``build_parser`` makes it under the top level: the same prog, arguments
-    and help."""
-    parser = _Parser(prog="wfmig " + name)
-    _COMMANDS[name][1](parser)
-    return parser
+        commands[name] = (sub.add_parser(name) if summary is None
+                          else sub.add_parser(name, help=summary))
+        add(commands[name])
+    return parser, commands
 
 
 def _parse_args(argv):
     """``argv`` parsed as the whole parser parses it.  When the first word
-    names a command, only that command's parser is built and run; a word
-    it leaves over is the whole parser's usage error, as it would be."""
-    if argv and argv[0] in _COMMANDS:
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+    names a command, that command's parser runs alone, without the top
+    level's parse; a word it leaves over is the top level's usage error,
+    as it would be."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
         if extras:
-            _shared_parser().error("unrecognized arguments: %s"
-                                   % " ".join(extras))
+            parser.error("unrecognized arguments: %s" % " ".join(extras))
         return args
-    return _shared_parser().parse_args(argv)
+    return parser.parse_args(argv)
 
 
 def _run(argv):
@@ -338,7 +335,8 @@ def _run(argv):
     try:
         return args.func(args)
     except WfmigError as exc:
-        print("%s: %s" % (exc.code, exc), file=sys.stderr)
+        print(("%s: %s" % (exc.code, exc)).translate(LINE_BREAK_ESCAPES),
+              file=sys.stderr)
         return (USAGE_ERROR if isinstance(exc, NetFormatError)
                 else DOMAIN_ERROR)
 

@@ -668,9 +668,8 @@ def test_cli_usage_errors(capsys):
 
 
 def test_cli_reused_parser_prints_what_a_fresh_one_does(capsys):
-    """main() keeps the whole parser and each command's parser once built;
-    no call, usage errors included, may leave state that changes a later
-    call."""
+    """main() keeps the parser once built; no call, usage errors included,
+    may leave state that changes a later call."""
     fig8 = ("--old", fx("fig8_old"), "--new", fx("fig8_new"))
     runs = [("unknown-command",), ("tts", fx("sequence")),
             ("map",) + fig8 + ("--format", "csv"), ("map",) + fig8,
@@ -681,8 +680,7 @@ def test_cli_reused_parser_prints_what_a_fresh_one_does(capsys):
             ("unknown-command",), ("tts", fx("sequence"))]
     fresh = []
     for argv in runs:
-        cli._shared_parser.cache_clear()
-        cli._command_parser.cache_clear()
+        cli._parsers.cache_clear()
         fresh.append(run_cli(capsys, *argv))
     reused = [run_cli(capsys, *argv) for argv in runs]
     reused += [run_cli(capsys, *argv) for argv in runs]
@@ -717,7 +715,7 @@ def test_cli_parses_a_command_as_the_whole_parser_does(capsys, monkeypatch,
         argvs += [[flag]] + [[name, flag] for name in cli._COMMANDS]
     alone = [run_cli(capsys, *argv) for argv in argvs]
     monkeypatch.setattr(cli, "_parse_args",
-                        lambda argv: cli._shared_parser().parse_args(argv))
+                        lambda argv: cli._parsers()[0].parse_args(argv))
     whole = [run_cli(capsys, *argv) for argv in argvs]
     assert [argv for argv, a, w in zip(argvs, alone, whole) if a != w] == []
 
@@ -1202,3 +1200,42 @@ def test_cli_bad_arguments_and_files_exit_2_with_a_coded_line(
     assert out == ""
     assert got.splitlines()[-1] == err.replace("{tmp}", str(tmp_path))
     assert "Traceback" not in got
+
+
+# argv text that a coded line echoes: a line break in it is written as its
+# escape, and a NUL in a path is the command's coded error
+ECHOED_ARGUMENTS = [
+    (("tts", fx("sequence"), "--marking", "p1\nzz"), 1,
+     r"UNREACHABLE_MARKING: marking {p1\nzz} is not reachable"),
+    (("validate", "{tmp}/no\nsuch.json"), 2,
+     r"PARSE_ERROR: cannot read {tmp}/no\nsuch.json: No such file or "
+     "directory"),
+    (("reach", fx("sequence"), "--dot", "{tmp}/no/a\nb.dot"), 2,
+     r"WRITE_ERROR: cannot write {tmp}/no/a\nb.dot: No such file or "
+     "directory"),
+    (("validate", "a\0b"), 2, "PARSE_ERROR: cannot read a\0b: embedded null "
+                              "byte"),
+    (("reach", fx("sequence"), "--dot", "a\0b"), 2,
+     "WRITE_ERROR: cannot write a\0b: embedded null byte"),
+]
+
+
+@pytest.mark.parametrize("argv,code,err", ECHOED_ARGUMENTS,
+                         ids=["tts-marking-newline", "validate-newline",
+                              "dot-newline", "validate-nul", "dot-nul"])
+def test_cli_a_coded_line_echoing_argv_text_is_one_line(capsys, tmp_path,
+                                                       argv, code, err):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run_cli(capsys, *argv) == (
+        code, "", err.replace("{tmp}", str(tmp_path)) + "\n")
+
+
+def test_cli_escapes_every_character_that_breaks_a_line():
+    """The escape table holds exactly the characters str.splitlines breaks
+    at, and leaves the line it is applied to one line."""
+    breaks = [c for c in map(chr, range(sys.maxunicode + 1))
+              if len(("a%sb" % c).splitlines()) == 2]
+    assert sorted(cli.LINE_BREAK_ESCAPES) == [ord(c) for c in breaks]
+    escaped = "".join(breaks).translate(cli.LINE_BREAK_ESCAPES)
+    assert escaped.splitlines() == [escaped]
+    assert escaped == "".join(repr(c)[1:-1] for c in breaks)

@@ -1,6 +1,7 @@
 """What ``wfmig`` exports, and what each module imports."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -116,10 +117,11 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loads):
     assert loaded & _OPTIONAL == loads
 
 
-# prints the prog of every parser that running the command given as its
-# arguments built, in order, and whether the whole parser was built
+# runs main on each argv of the JSON list given as its argument, in one
+# process, and prints each call's exit code and the progs of the parsers it
+# constructed, as one JSON list
 BUILT = """\
-import os, sys
+import json, os, sys
 import wfmig.cli
 progs = []
 init = wfmig.cli._Parser.__init__
@@ -127,41 +129,42 @@ def record(self, *args, **kwargs):
     init(self, *args, **kwargs)
     progs.append(self.prog)
 wfmig.cli._Parser.__init__ = record
+calls = []
 with open(os.devnull, "w") as sink:
     sys.stdout = sys.stderr = sink
-    code = wfmig.cli.main(sys.argv[1:])
+    for argv in json.loads(sys.argv[1]):
+        calls.append([wfmig.cli.main(argv), progs[:]])
+        progs.clear()
     sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
-print("\\n".join(progs))
-print(wfmig.cli._shared_parser.cache_info().currsize)
-sys.exit(code)
+print(json.dumps(calls))
 """
 
 _WHOLE = ["wfmig", "wfmig validate", "wfmig reach", "wfmig tts", "wfmig map",
           "wfmig gen-net"]
+# name -> (exit code, argv): a command, its --help and its usage error, a
+# word a command leaves over, and argvs with no command word first
+_CALLS = {
+    "validate": (0, ["validate", _OLD]),
+    "map": (0, ["map", "--old", _OLD, "--new", _NEW, "--format", "json"]),
+    "map-help": (0, ["map", "--help"]),
+    "map-usage-error": (2, ["map", "--old", _OLD]),
+    "validate-leftover": (2, ["validate", _OLD, "--bogus"]),
+    "map-leftover": (2, ["map", "--old", _OLD, "--new", _NEW, "stray"]),
+    "unknown-command": (2, ["oracle-tts", _OLD]),
+    "help": (0, ["--help"]),
+    "no-command": (2, []),
+}
 
 
-@pytest.mark.parametrize("argv, code, progs", [
-    (["validate", _OLD], 0, ["wfmig validate"]),
-    (["map", "--old", _OLD, "--new", _NEW, "--format", "json"], 0,
-     ["wfmig map"]),
-    (["map", "--help"], 0, ["wfmig map"]),
-    (["map", "--old", _OLD], 2, ["wfmig map"]),
-    # a word the command leaves over is the whole parser's error
-    (["validate", _OLD, "--bogus"], 2, ["wfmig validate"] + _WHOLE),
-    (["map", "--old", _OLD, "--new", _NEW, "stray"], 2,
-     ["wfmig map"] + _WHOLE),
-    # no command word first: the whole parser
-    (["oracle-tts", _OLD], 2, _WHOLE),
-    (["--help"], 0, _WHOLE),
-    ([], 2, _WHOLE),
-], ids=["validate", "map", "map-help", "map-usage-error", "validate-leftover",
-        "map-leftover", "unknown-command", "help", "no-command"])
-def test_a_command_builds_only_its_own_parser(argv, code, progs):
-    run = _fresh(BUILT, *argv)
-    assert run.returncode == code, run.stderr
-    *built, shared = run.stdout.split("\n")[:-1]
-    assert built == progs
-    assert shared == ("1" if "wfmig" in progs else "0")
+@pytest.mark.parametrize("first", list(_CALLS))
+def test_the_first_call_builds_the_one_parser_and_later_calls_none(first):
+    """Whatever the first call's argv, it constructs the top level and each
+    command's parser once; no later call constructs one."""
+    order = [first] + [name for name in _CALLS if name != first]
+    run = _fresh(BUILT, json.dumps([_CALLS[name][1] for name in order]))
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [
+        [_CALLS[name][0], _WHOLE if name == first else []] for name in order]
 
 
 def test_submodules_resolve_as_package_attributes_after_the_cli():
