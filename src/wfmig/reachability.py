@@ -17,18 +17,27 @@ check them against (the paper's fixpoint, the oracle in
 joins them.
 
 The breadth-first search plays the token game on ints: each transition has
-a ``pre`` and a ``post`` mask, is enabled at marking ``m`` when
-``m & pre == pre`` and leads to ``(m & ~pre) | post``.  Each transition with
-a non-empty preset belongs to the lowest place of its preset, since it can
-only be enabled where that place is marked; a marking's candidates are the
-transitions of its marked places, each place's list found by the bit
-position of its bit, plus those with an empty preset.
-``tests/reference.py`` plays the frozenset form of the same game, the
-reference the kernel is tested against; a firing that would break
-1-boundedness is reported here, with the same message.
+a ``pre`` and a ``post`` mask, fires at marking ``m`` when
+``m & (pre | post) == pre`` (enabled, and no second token in any place) and
+leads to ``m ^ (pre ^ post)``.  Enabling is incremental (K. Wolf,
+"Generating Petri Net State Spaces", ICATPN 2007).  Each transition has
+one candidate bit, the highest for the first label in sorted order, and
+belongs to the first place its preset lists, since it can only be enabled
+where that place is marked; one with an empty preset is a candidate
+everywhere.  A marking's candidate mask holds the bits its marked places
+own, and a successor's is its parent's XOR ``flip``, the bits owned by the
+places the firing turns (``pre ^ post``: a place in both keeps its token).
+Expanding a marking walks its candidate bits from the highest down, by
+``bit_length``, which is label order with no per-marking gather and no
+sort.  A candidate that fails the test with ``m & pre == pre`` is enabled
+and would put a second token in a marked place: the net is not 1-bounded
+(``UnsafeNetError``).  ``tests/reference.py`` plays the frozenset form of
+the same game, the reference the kernel is tested against, and reports
+that firing with the same message.
 """
 
 from bisect import bisect_left
+from collections import deque
 
 from .errors import StateLimitError, UnsafeNetError
 from .net import ValidationReport, Violation, _reach, key_label
@@ -131,52 +140,82 @@ def build_reachability(net, max_states=DEFAULT_MAX_STATES):
     places = tuple(sorted(net.places))
     bit = {p: 1 << i for i, p in enumerate(places)}
     labels = net.sorted_labels
+    last = len(labels)
     pre_of, post_of = net._pre, net._post
-    pres, posts = [], []
-    # owned[n]: the transitions whose lowest input place has bit n - 1,
-    # listed by the bit_length of that bit; owned[0] holds the ones with an
-    # empty preset
-    owned = [[] for _ in range(len(places) + 1)]
-    for t, label in enumerate(labels):
-        pre = post = 0
-        for p in pre_of[label]:
-            pre |= bit[p]
-        for p in post_of[label]:
-            post |= bit[p]
-        pres.append(pre)
-        posts.append(post)
-        owned[(pre & -pre).bit_length()].append(t)
-    free = owned[0]
+    # own[p]: the candidate bits of the transitions whose preset lists p
+    # first, bit k - 1 (bit_length k) standing for labels[last - k]; free:
+    # those of the transitions with an empty preset, candidates everywhere
+    own = dict.fromkeys(places, 0)
+    free = 0
+    c = 1
+    for label in reversed(labels):
+        ins = pre_of[label]
+        if ins:
+            own[ins[0]] |= c
+        else:
+            free |= c
+        c <<= 1
+    # rows[k]: the label index, the bit, and the masks pre, pre | post and
+    # pre ^ post; flip[k]: own XORed over the preset and the postset, so a
+    # place in both cancels.  One input and one output place is the usual
+    # transition, and the quick case, whose two masks are one int
+    rows, flip = [None], [0]
+    t, c = last, 1
+    for label in reversed(labels):
+        t -= 1
+        ins, outs = pre_of[label], post_of[label]
+        if len(ins) == len(outs) == 1:
+            p, q = ins[0], outs[0]
+            pre = bit[p]
+            need = pre | bit[q]
+            turn = need if p != q else 0
+            flip.append(own[p] ^ own[q])
+        else:
+            pre = post = f = 0
+            for p in ins:
+                pre |= bit[p]
+                f ^= own[p]
+            for p in outs:
+                post |= bit[p]
+                f ^= own[p]
+            need, turn = pre | post, pre ^ post
+            flip.append(f)
+        rows.append((t, c, pre, need, turn))
+        c <<= 1
 
-    m0 = sum(bit[p] for p in net.initial_marking)
+    m0, cands = 0, free
+    for p in net.initial_marking:
+        m0 |= bit[p]
+        cands |= own[p]
+    queue = deque([cands])
+    del own     # an int as wide as the label count per place: not kept
     masks, index = [m0], {m0: 0}
     off, lab, dst = [0], [], []
+    n = 1           # len(masks), counted: one call fewer per edge
     for m in masks:     # the list grows as markings are found: a BFS queue
-        cands = free.copy()
-        rest = m
-        while rest:
-            low = rest & -rest
-            cands += owned[low.bit_length()]
-            rest ^= low
-        cands.sort()
-        for t in cands:
-            pre = pres[t]
-            if m & pre != pre:
-                continue
-            rest = m ^ pre
-            post = posts[t]
-            if post & rest:  # name the clashing places as a key names them
-                clash = ",".join(mask_names(places, post & rest))
+        cands = queue.popleft()
+        rest = cands
+        while rest:     # highest bit first: in label order
+            k = rest.bit_length()
+            t, c, pre, need, turn = rows[k]
+            rest ^= c
+            if m & need != pre:     # not enabled, or it would clash
+                if m & pre != pre:
+                    continue
+                # name the clashing places as a key names them
+                clash = ",".join(mask_names(places, m & need ^ pre))
                 raise UnsafeNetError("net is not 1-bounded: firing %r would "
                                      "put a second token in %s"
                                      % (labels[t], clash))
-            nxt = rest | post
-            j = index.setdefault(nxt, len(masks))   # one hash per edge
-            if j == len(masks):
-                if j >= max_states:
+            nxt = m ^ turn
+            j = index.setdefault(nxt, n)   # one hash per edge
+            if j == n:
+                if n >= max_states:
                     raise StateLimitError(
                         "reachability exceeds %d states" % max_states)
                 masks.append(nxt)
+                n += 1
+                queue.append(cands ^ flip[k])
             lab.append(t)
             dst.append(j)
         off.append(len(dst))

@@ -581,6 +581,23 @@ def test_cli_tts_fig8_golden(capsys):
         encoding="utf-8")
 
 
+def test_cli_goldens_pin_discovery_and_edge_order(capsys, tmp_path):
+    # DOT text is sorted by key and shows no discovery order; validate
+    # lists the markings that cannot complete in discovery order, here the
+    # four deadlocks of a join after two mismatched choices.  fig8_old's
+    # DOT holds 2-token markings and a join.  The CI job diffs the
+    # installed script's output against the same goldens
+    net = ROOT / "tests" / "nets" / "join_deadlock.json"
+    assert run_cli(capsys, "validate", str(net)) == (
+        1, (GOLDEN / "join_deadlock_validate.txt").read_text(
+            encoding="utf-8"), "")
+    dot = tmp_path / "fig8_old.dot"
+    assert run_cli(capsys, "reach", fx("fig8_old"), "--dot", str(dot)) == (
+        0, "nodes: 13\nedges: 15\ninitial: {p1}\nterminal: {p11}\n", "")
+    assert dot.read_text(encoding="utf-8") == (
+        GOLDEN / "fig8_old.dot").read_text(encoding="utf-8")
+
+
 def test_cli_tts_closes_over_the_ancestors_of_the_marking_only(
         capsys, tmp_path):
     # the whole closure of this net does not fit in 700 MB; the initial

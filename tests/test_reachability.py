@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from wfmig import (GenParams, NetFormatError, StateLimitError, UnsafeNetError,
@@ -199,8 +201,9 @@ def test_kernel_equals_reference_on_larger_nets(net):
 
 
 def test_kernel_equals_reference_where_a_high_bit_owns_many_transitions():
-    """A marking's candidates are looked up by the bit position of each of
-    its places: here one place, past bit 1,000, owns 40 transitions."""
+    """One place, past bit 1,000, owns 40 transitions: firing into it turns
+    their 40 candidate bits on in one flip, and firing any of them turns
+    all 40 off."""
     net = choice_net(40, 50)
     assert sorted(net.places).index("s") > 1000
     assert len(net._post["s"]) == 40
@@ -216,6 +219,99 @@ def test_kernel_equals_reference_on_shuffled_names():
         shuffled = shuffled_names(net, seed)
         assert sorted(shuffled.arcs) != sorted(net.arcs)
         assert_same_graph(shuffled)
+
+
+def _late_join_arcs(n):
+    """The arcs of a fork into ``a`` and into a branch of ``n`` tasks from
+    ``p0`` to ``p<n>``, then the join ``j`` of ``a`` and ``p<n>``, with
+    ``a``'s arc into the join listed first."""
+    arcs = [("s", "fork"), ("fork", "a"), ("fork", "p0"),
+            ("a", "j"), ("p%d" % n, "j"), ("j", "e")]
+    for i in range(n):
+        arcs += [("p%d" % i, "t%d" % i), ("t%d" % i, "p%d" % (i + 1))]
+    return arcs
+
+
+def _late_join_net(arcs, n):
+    return WFNet(["s", "a", "e"] + ["p%d" % i for i in range(n + 1)],
+                 ["fork", "j"] + ["t%d" % i for i in range(n)], arcs)
+
+
+def test_kernel_equals_reference_where_a_join_waits_on_a_late_input():
+    """The join is owned by its first-listed input ``a``, marked by the fork
+    many firings before ``p12``: it is a candidate at every marking on the
+    way, and enabled only at the last."""
+    net = _late_join_net(_late_join_arcs(12), 12)
+    assert net._pre["j"] == ["a", "p12"]
+    assert_same_graph(net)
+    g = build_reachability(net)
+    assert [g.labels[t] for t in g.lab].count("j") == 1
+
+
+def test_owner_order_changes_no_graph():
+    """With the arc list reversed each transition is owned by another of
+    its inputs (the join by ``p12``), and the graph does not change."""
+    arcs = _late_join_arcs(12)
+    net, other = _late_join_net(arcs, 12), _late_join_net(arcs[::-1], 12)
+    assert other._pre["j"] == ["p12", "a"]
+    assert_same_graph(other)
+    a, b = build_reachability(net), build_reachability(other)
+    assert ((a.places, a.labels, a.masks, a.off, a.lab, a.dst, a.terminal)
+            == (b.places, b.labels, b.masks, b.off, b.lab, b.dst,
+                b.terminal))
+
+
+def test_kernel_equals_reference_where_a_self_loop_place_owns_a_join():
+    """``b`` reads and returns the token in ``r``, which owns the join
+    ``c``: firing ``b`` leaves ``r`` marked, so its flip must leave ``c`` a
+    candidate, or ``c`` never fires."""
+    net = WFNet(["s", "p", "r", "q", "e"], ["a", "b", "c"],
+                [("s", "a"), ("a", "p"), ("a", "r"), ("p", "b"), ("r", "b"),
+                 ("b", "q"), ("b", "r"), ("r", "c"), ("q", "c"),
+                 ("c", "e")])
+    assert net._pre["c"][0] == "r" and "r" in net._post["b"]
+    assert_same_graph(net)
+    g = build_reachability(net)
+    assert g.keys() == ["s", "p,r", "q,r", "e"]
+    assert g.terminal == 3
+
+
+@pytest.mark.parametrize("first, second", [("u", "v"), ("v", "u")])
+def test_the_first_clash_in_label_order_is_reported(first, second):
+    """At ``{m,n,pa,pz}`` both ``first`` (from ``pz`` into ``m``) and
+    ``second`` (from ``pa`` into ``n``) are enabled and would put a second
+    token in a marked place; the one first in label order is reported,
+    whichever place owns it."""
+    net = WFNet(["s", "pa", "pz", "m", "n"], ["f", first, second],
+                [("s", "f"), ("f", "pa"), ("f", "pz"), ("f", "m"),
+                 ("f", "n"), ("pz", first), (first, "m"), ("pa", second),
+                 (second, "n")])
+    assert_same_graph(net)
+    with pytest.raises(UnsafeNetError) as got:
+        build_reachability(net)
+    place = "m" if first == "u" else "n"
+    assert str(got.value) == ("net is not 1-bounded: firing 'u' would put "
+                              "a second token in %s" % place)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_kernel_equals_reference_on_the_largest_generator_nets(seed):
+    """The 24-place, 36-transition generator nets of ROADMAP's scale
+    goal."""
+    assert_same_graph(random_wfnet(GenParams(seed=seed, max_places=24,
+                                             max_transitions=36)))
+
+
+def test_kernel_equals_reference_on_shuffled_arcs():
+    """Names and arc order shuffled by a seeded RNG: the owners of the
+    transitions change with the arc order, the graph with neither."""
+    net = par_redo_net(3, 4)
+    for seed in range(3):
+        shuffled = shuffled_names(net, seed)
+        arcs = sorted(shuffled.arcs)
+        random.Random(seed).shuffle(arcs)
+        assert_same_graph(WFNet(sorted(shuffled.places),
+                                shuffled.sorted_labels, arcs))
 
 
 def _edge_case_nets():
