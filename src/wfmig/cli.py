@@ -132,9 +132,11 @@ def cmd_reach(args):
                                  code="WRITE_ERROR") from exc
     print("nodes: %d" % len(graph.nodes))
     print("edges: %d" % len(graph.edges))
-    print("initial: %s" % key_label(graph.key(graph.initial)))
-    print("terminal: %s" % (key_label(graph.key(graph.terminal))
-                            if graph.terminal is not None else "-"))
+    ends = ((graph.initial,) if graph.terminal is None
+            else (graph.initial, graph.terminal))
+    names = [key_label(key) for key in graph.keys(ends)] + ["-"]
+    print("initial: %s" % names[0])
+    print("terminal: %s" % names[1])
     return 0
 
 
@@ -152,8 +154,7 @@ def cmd_tts(args):
     ignore = frozenset() if args.keep_empty else net.empty_labels
     family = tts.tts_all(graph, ignore, target=node,
                          max_states=args.max_tts_states)[node]
-    members = sorted(reachability.mask_names(graph.labels, member)
-                     for member in family)
+    members = sorted(reachability.decode_masks(graph.labels, family))
     _write_batched(sys.stdout, (key_label(",".join(labels)) + "\n"
                                 for labels in members))
     return 0

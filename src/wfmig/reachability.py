@@ -9,12 +9,15 @@ increasing label order and equal nets always produce identical graphs.
 
 A node's key (``marking_key``: its places, comma-joined; names cannot
 contain ``,``) is its only text form, built on demand where output, an
-error message or a ``--marking`` lookup needs it.  This one form is the
-graph every reader walks: the engines, and the reference code the tests
-check them against (the paper's fixpoint, the oracle in
-``tests/reference.py``).  The DOT export is one generator of lines
-(``dot_lines``), which ``reach --dot`` writes as they come; ``to_dot``
-joins them.
+error message or a ``--marking`` lookup needs it.  One walk decodes every
+mask, of places or of labels (``decode_masks``): from the highest bit
+down, over two tables made once per batch, so a caller with many masks
+decodes them in one call.  This one form is the graph every reader
+walks: the engines, and the reference code the tests check them against
+(the paper's fixpoint, the oracle in ``tests/reference.py``).  The DOT
+export is a generator of pieces of about ``PIECE_LINES`` lines each
+(``dot_lines``), joined where the lines are made, which ``reach --dot``
+writes as they come; ``to_dot`` joins them.
 
 The breadth-first search plays the token game on ints: each transition has
 a ``pre`` and a ``post`` mask, fires at marking ``m`` when
@@ -51,18 +54,37 @@ DEFAULT_MAX_STATES = 100000
 # states takes about 350 MB and 7-13 s (Python 3.11, one core of a 2-vCPU
 # host).
 DEFAULT_MAX_TTS_STATES = 5000000
+# dot_lines joins its lines into pieces of about this many
+PIECE_LINES = 1024
+
+
+def _escape(name):
+    """A name as a DOT string holds it: ``\\`` and ``"`` escaped."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def decode_masks(names, masks):
+    """The names of the set bits of each mask of ``masks``, bit ``i``
+    naming ``names[i]``: one list per mask, in bit order, made as it is
+    asked for.  Comma-joined over ``places``, a list is the key of a
+    marking mask.  One walk serves every mask: from the highest bit down,
+    by ``bit_length``, over two tables made once per call, ``at[k]`` the
+    name and ``top[k]`` the bit of ``bit_length`` ``k``."""
+    at = (None,) + tuple(names)
+    top = [0] + [1 << i for i in range(len(names))]
+    for m in masks:
+        out = []
+        while m:
+            k = m.bit_length()
+            out.append(at[k])
+            m ^= top[k]
+        out.reverse()
+        yield out
 
 
 def mask_names(names, mask):
-    """The names of the set bits of ``mask``, bit ``i`` naming
-    ``names[i]``, in bit order.  Comma-joined over ``places``, it gives the
-    key of a marking mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(names[low.bit_length() - 1])
-        mask ^= low
-    return out
+    """The names of the set bits of one mask (``decode_masks``)."""
+    return next(decode_masks(names, (mask,)))
 
 
 class ReachGraph:
@@ -94,11 +116,14 @@ class ReachGraph:
 
     def key(self, node):
         """Key of one node, without building the others."""
-        return ",".join(mask_names(self.places, self.masks[node]))
+        return self.keys((node,))[0]
 
-    def keys(self):
-        """Key of every node, by id."""
-        return [",".join(mask_names(self.places, m)) for m in self.masks]
+    def keys(self, nodes=None):
+        """Key of every node, by id, or of each of ``nodes`` in turn:
+        decoded in one batch (``decode_masks``)."""
+        masks = (self.masks if nodes is None
+                 else [self.masks[node] for node in nodes])
+        return list(map(",".join, decode_masks(self.places, masks)))
 
     def find(self, marking):
         """Id of a marking given as place names, or None if it is not
@@ -231,7 +256,7 @@ def validate_behavioral(graph):
     DEAD_TRANSITION: transition labels no edge.  NO_PROPER_COMPLETION: the
     terminal marking is unreachable from a node (deadlocks included; if there
     is no terminal node at all, every node is flagged).  Keys are built for
-    the flagged nodes only.
+    the flagged nodes only, in one batch.
     """
     violations = []
     fired = set(graph.lab)
@@ -243,38 +268,49 @@ def validate_behavioral(graph):
 
     can_finish = (set() if graph.terminal is None
                   else graph.ancestors(graph.terminal))
-    for node in graph.nodes:
-        if node not in can_finish:
-            violations.append(Violation(
-                "NO_PROPER_COMPLETION",
-                "terminal marking is unreachable from this marking",
-                key_label(graph.key(node))))
+    stuck = [node for node in graph.nodes if node not in can_finish]
+    for key in graph.keys(stuck):
+        violations.append(Violation(
+            "NO_PROPER_COMPLETION",
+            "terminal marking is unreachable from this marking",
+            key_label(key)))
     return ValidationReport(tuple(violations))
 
 
 def dot_lines(graph):
-    """The graph as DOT text, one line at a time, each ending in a newline;
-    byte-deterministic (canonical order): nodes by key, then each source's
-    edges in label order, which is their CSR order.  Node names are the
-    ``key_label`` forms of the keys, with ``\\`` and ``"`` escaped, as are
-    the labels; each name is made once.  The keys and names are built up
-    front, the lines one by one, so a caller can write them as they come."""
+    """The graph as DOT text, in pieces of about ``PIECE_LINES`` whole
+    lines, each line ending in a newline; byte-deterministic (canonical
+    order): nodes by key, then each source's edges in label order, which is
+    their CSR order.  Node names are the ``key_label`` forms of the keys,
+    with ``\\`` and ``"`` escaped, as are the labels; each name is made
+    once, and is the key itself where no place name holds either
+    character (``,`` needs no escape, so a key escapes place by place).
+    The keys and names are built up front and the lines piece by piece,
+    so a caller can write the pieces as they come and no whole text is
+    held."""
     keys = graph.keys()
-    name = [key_label(k.replace("\\", "\\\\").replace('"', '\\"'))
-            for k in keys]
-    label = [t.replace("\\", "\\\\").replace('"', '\\"')
-             for t in graph.labels]
+    name = keys
+    if any("\\" in p or '"' in p for p in graph.places):
+        name = [_escape(k) for k in keys]
+    label = [_escape(t) for t in graph.labels]
     off, lab, dst = graph.off, graph.lab, graph.dst
     order = sorted(graph.nodes, key=keys.__getitem__)
-    yield "digraph reachability {\n"
+    lines = ["digraph reachability {\n"]
     for node in order:
-        yield '  "%s";\n' % name[node]
+        lines.append(f'  "{{{name[node]}}}";\n')
+        if len(lines) >= PIECE_LINES:
+            yield "".join(lines)
+            lines = []
     for node in order:
         source = name[node]
         for e in range(off[node], off[node + 1]):
-            yield '  "%s" -> "%s" [label="%s"];\n' % (
-                source, name[dst[e]], label[lab[e]])
-    yield "}\n"
+            lines.append(f'  "{{{source}}}" -> "{{{name[dst[e]]}}}" '
+                         f'[label="{label[lab[e]]}"];\n')
+        if len(lines) >= PIECE_LINES:
+            yield "".join(lines)
+            lines = []
+    lines.append("}\n")
+    yield "".join(lines)
 
 
 # kept in the package: bench/tracer.py wraps it by module attribute

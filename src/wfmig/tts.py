@@ -11,7 +11,7 @@ that fires a label outside it is not followed.  ``map`` gives both nets
 the sorted labels they share, so equal label sets are equal ints across
 the nets, and a TTS holding a label the other net lacks, which can match
 nothing there, is never built.  ``tts`` uses the net's own sorted labels
-and decodes the masks only to print them (``reachability.mask_names``).
+and decodes the masks only to print them (``reachability.decode_masks``).
 The closure's (node, member) states can grow exponentially with the net,
 so it counts them and stops past a limit (``TtsLimitError``,
 ``--max-tts-states``).

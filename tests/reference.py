@@ -2,9 +2,11 @@
 frozenset markings, with presets and postsets read from ``net.arcs``, and
 the reachability BFS built on it; the brute-force TTS oracle, on the int
 graph's CSR out-edges and ``pred`` only; the table and CSV texts of a
-mapping table, one ``key_label`` per key.  It imports nothing from
-``wfmig.tts``, ``wfmig.equivalence`` or ``wfmig.netformat``, the code it is
-the ground truth for."""
+mapping table, one ``key_label`` per key; a mask decoder that walks from
+the lowest bit up, and the DOT text written one line at a time from the
+keys it decodes.  It imports nothing from ``wfmig.tts``,
+``wfmig.equivalence`` or ``wfmig.netformat``, the code it is the ground
+truth for, and decodes no mask with ``wfmig.reachability``."""
 
 import csv
 import io
@@ -260,3 +262,38 @@ def csv_text(old_net, new_net, table):
                          ";".join(map(key_label, equivalents)),
                          "false" if equivalents else "true"])
     return out.getvalue()
+
+
+def low_bit_names(names, mask):
+    """The names of the set bits of ``mask``, bit ``i`` naming
+    ``names[i]``, in bit order: each bit taken from the lowest up, as
+    ``m & -m``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(names[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+def dot_lines(graph):
+    """The DOT text of a reachability graph, one line at a time: the node
+    lines by key, then each source's edges in CSR order, every node name
+    the ``key_label`` form of its escaped key, the keys decoded by
+    ``low_bit_names``."""
+    keys = [",".join(low_bit_names(graph.places, m)) for m in graph.masks]
+    name = [key_label(k.replace("\\", "\\\\").replace('"', '\\"'))
+            for k in keys]
+    label = [t.replace("\\", "\\\\").replace('"', '\\"')
+             for t in graph.labels]
+    off, lab, dst = graph.off, graph.lab, graph.dst
+    order = sorted(graph.nodes, key=keys.__getitem__)
+    yield "digraph reachability {\n"
+    for node in order:
+        yield '  "%s";\n' % name[node]
+    for node in order:
+        source = name[node]
+        for e in range(off[node], off[node + 1]):
+            yield '  "%s" -> "%s" [label="%s"];\n' % (
+                source, name[dst[e]], label[lab[e]])
+    yield "}\n"

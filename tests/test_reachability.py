@@ -3,13 +3,18 @@ import random
 import pytest
 
 from wfmig import (GenParams, NetFormatError, StateLimitError, UnsafeNetError,
-                   WFNet, build_reachability, marking_key, random_wfnet,
-                   validate_behavioral)
-from wfmig.reachability import DEFAULT_MAX_STATES, to_dot
+                   WFNet, build_reachability, marking_key, parse_net,
+                   random_wfnet, serialize_net, validate_behavioral)
+from wfmig import reachability
+from wfmig.cli import main
+from wfmig.reachability import (DEFAULT_MAX_STATES, PIECE_LINES, dot_lines,
+                                mask_names, to_dot)
 
-from conftest import (FIXTURE_NAMES, GOLDEN, choice_net, fixture_net,
-                      long_sequence_net, par_redo_net, shuffled_names)
-from reference import fire, reference_reachability
+from conftest import (FIXTURE_NAMES, GOLDEN, ROOT, choice_net, fixture_net,
+                      long_sequence_net, par_net, par_redo_net,
+                      shuffled_names)
+from reference import dot_lines as reference_dot_lines
+from reference import fire, low_bit_names, reference_reachability
 
 
 def test_sequence_graph(sequence_net):
@@ -143,10 +148,146 @@ def test_to_dot_escapes_quotes_and_backslashes():
         '}\n')
 
 
+def sequence_1100_net():
+    """The 1,100-task sequence of ``tests/nets``: its DOT text is 2,203
+    lines, so its node lines and its edge lines each cross a piece
+    boundary."""
+    path = ROOT / "tests" / "nets" / "sequence_1100.json"
+    return parse_net(path.read_text(encoding="utf-8"))
+
+
 def test_to_dot_goldens(sequence_net, fig4_net):
-    for name, net in (("sequence", sequence_net), ("fig4", fig4_net)):
+    for name, net in (("sequence", sequence_net), ("fig4", fig4_net),
+                      ("sequence_1100", sequence_1100_net())):
         golden = (GOLDEN / ("%s.dot" % name)).read_text()
         assert to_dot(build_reachability(net)) == golden
+
+
+# ---------------------------------------------------------------------------
+# dot_lines and the keys it is made of, against the reference writer that
+# makes one line at a time from keys decoded from the lowest bit up.
+
+def _escaped_net(in_places, in_labels):
+    """A fork into two branches of one task each, a redo on the first,
+    then a join; the names of the branch places, of the tasks, or of both
+    hold ``"`` or ``\\``, so a key holds both characters and a comma."""
+    p = (['x"1', "x\\2", 'y"\\3', "y4"] if in_places
+         else ["x1", "x2", "y3", "y4"])
+    t = ['a"', "b\\", 'c"\\d'] if in_labels else ["a", "b", "c"]
+    return WFNet(["s", "e"] + p, ["fork", "join"] + t,
+                 [("s", "fork"), ("fork", p[0]), ("fork", p[1]),
+                  (p[0], t[0]), (t[0], p[2]), (p[1], t[1]), (t[1], p[3]),
+                  (p[2], t[2]), (t[2], p[0]),
+                  (p[2], "join"), (p[3], "join"), ("join", "e")],
+                 name="escaped-%d-%d" % (in_places, in_labels))
+
+
+def _dot_cases():
+    """(id, net) pairs: the fixtures, the 24/36 generator nets, shuffled
+    par_redo(3,4) nets, two nets of more than 1,024 nodes and edges, and
+    names holding ``"`` or ``\\`` in the places, the labels or both."""
+    cases = [(name, fixture_net(name)) for name in FIXTURE_NAMES]
+    cases += [("24-36-seed-%d" % seed,
+               random_wfnet(GenParams(seed=seed, max_places=24,
+                                      max_transitions=36)))
+              for seed in range(20)]
+    cases += [("shuffled-par-redo-3-4-%d" % seed,
+               shuffled_names(par_redo_net(3, 4), seed)) for seed in range(3)]
+    cases += [("par-2-40", par_net(2, 40)),
+              ("sequence-1100", sequence_1100_net())]
+    cases += [("escaped-%s" % where, _escaped_net(*flags))
+              for where, flags in (("places", (True, False)),
+                                   ("labels", (False, True)),
+                                   ("both", (True, True)))]
+    return cases
+
+
+@pytest.mark.parametrize("net", [net for _, net in _dot_cases()],
+                         ids=[i for i, _ in _dot_cases()])
+def test_to_dot_and_the_cli_dot_file_equal_the_reference(net, tmp_path,
+                                                         capsys):
+    """Same bytes as the reference writer, from ``to_dot`` and from
+    ``reach --dot``; every piece is whole lines, and a piece closes once it
+    holds ``PIECE_LINES`` lines, after its last source's edges."""
+    graph = build_reachability(net)
+    expected = "".join(reference_dot_lines(graph))
+    assert to_dot(graph) == expected
+    pieces = list(dot_lines(graph))
+    assert all(piece.endswith("\n") for piece in pieces)
+    most = max(graph.off[i + 1] - graph.off[i] for i in graph.nodes)
+    assert all(piece.count("\n") < PIECE_LINES + most
+               for piece in pieces)
+    assert all(piece.count("\n") >= PIECE_LINES for piece in pieces[:-1])
+    if expected.count("\n") > 2048:   # pieces of about 1,024 lines
+        assert len(pieces) > 2
+    path, dot = tmp_path / "net.json", tmp_path / "net.dot"
+    path.write_text(serialize_net(net), encoding="utf-8")
+    code = main(["reach", str(path), "--dot", str(dot)])
+    capsys.readouterr()
+    if net.name == "fig2b":     # not a workflow net: no graph is written
+        assert (code, dot.exists()) == (1, False)
+    else:
+        assert code == 0
+        assert dot.read_text(encoding="utf-8") == expected
+
+
+def assert_keys_decode_as_the_low_bit_walk(graph):
+    expected = [",".join(low_bit_names(graph.places, m))
+                for m in graph.masks]
+    assert graph.keys() == expected
+    assert [",".join(mask_names(graph.places, m))
+            for m in graph.masks] == expected
+    nodes = list(graph.nodes)[::-3]
+    assert graph.keys(nodes) == [expected[node] for node in nodes]
+    assert [graph.key(node) for node in nodes[:5]] == [
+        expected[node] for node in nodes[:5]]
+
+
+@pytest.mark.parametrize("count", [29, 30, 31, 60, 61])
+def test_keys_at_the_int_digit_boundaries(count):
+    """CPython's ints hold 30 bits a digit: a sequence marks each bit alone,
+    and a fork of ``count - 2`` branches marks them all at once."""
+    for net in (long_sequence_net(count - 1), par_net(count - 2, 0)):
+        assert len(net.places) == count
+        assert_keys_decode_as_the_low_bit_walk(build_reachability(net))
+
+
+def test_keys_of_a_2000_place_sequence():
+    assert_keys_decode_as_the_low_bit_walk(
+        build_reachability(long_sequence_net(1999)))
+
+
+def test_the_key_of_a_reachable_empty_marking_is_empty():
+    drain = WFNet(["a"], ["t"], [("a", "t")])
+    for net in (drain, dict(_edge_case_nets())["empty-initial-marking"]):
+        graph = build_reachability(net)
+        assert "" in graph.keys()
+        assert_keys_decode_as_the_low_bit_walk(graph)
+    assert build_reachability(drain).keys() == ["a", ""]
+
+
+def test_each_caller_decodes_its_masks_in_one_batch(monkeypatch, capsys):
+    """``validate_behavioral`` decodes every flagged node in one call,
+    ``reach`` its initial and terminal keys in one, and ``tts`` its
+    members in one: no caller makes the decoder's tables once per mask."""
+    calls = []
+    decode = reachability.decode_masks
+    monkeypatch.setattr(reachability, "decode_masks",
+                        lambda names, masks: calls.append(names)
+                        or decode(names, masks))
+    fig4 = build_reachability(fixture_net("fig4"))
+    report = validate_behavioral(fig4)
+    assert len(report.violations) > len(fig4.nodes) and len(calls) == 1
+    for argv in (["reach", "sequence"],
+                 ["tts", "fig6", "--marking", "P1", "--keep-empty"]):
+        calls.clear()
+        path = ROOT / "fixtures" / ("%s.json" % argv[1])
+        assert main([argv[0], str(path)] + argv[2:]) == 0
+        assert len(calls) == 1, argv
+        out, err = capsys.readouterr()
+        assert err == "", argv
+    assert out.count("\n") == 11
+    assert out.endswith("\n{T0,T1,T3,T4,T5,T6,T7,T8,T9}\n")
 
 
 # ---------------------------------------------------------------------------
